@@ -6,10 +6,12 @@ and average feature-feature redundancy:
     J(S) = sum_fc / sqrt(n_s + sum_ff)
 
 where sum_fc is the sum of fc over S and sum_ff the sum of ff over ordered
-pairs of distinct members. The sweeps evaluate J for every single-point
-crossover cut (both children) or every single-bit flip using incremental
-O(d) updates per candidate, then re-score near-ties from scratch so that
-results match naive enumeration bit for bit.
+pairs of distinct members. The sweeps evaluate J for every candidate in
+a few numpy passes: every single-bit flip from matrix-vector products,
+every single-point crossover cut (both children) from prefix sums over
+the positions where the parents differ. Candidates within a near-tie of
+the best are then re-scored from scratch, so that results match naive
+enumeration bit for bit.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrmv
 
 from .infotheory import GainRatioMatrix
 
-# incremental and from-scratch sums agree far below this; used only to
+# prefix-sum and from-scratch sums agree far below this; used only to
 # collect re-score candidates, never to decide the final argmax
 _NEAR_TIE = 1e-9
 
@@ -53,40 +56,29 @@ def score(mask, omega: GainRatioMatrix) -> SubsetScore:
     return SubsetScore(sum_fc / math.sqrt(n_s + sum_ff), n_s, sum_fc, sum_ff)
 
 
-class _RunningScore:
-    """Subset score maintained under add/remove-one-feature updates."""
+def _crossed_sums(a: np.ndarray, b: np.ndarray, omega: GainRatioMatrix) -> np.ndarray:
+    """(n_s, sum_fc, sum_ff) of both crossover children, shape (3, 2, m + 1).
 
-    __slots__ = ("fc", "ff", "ind", "n", "sum_fc", "sum_ff")
-
-    def __init__(self, mask: np.ndarray, omega: GainRatioMatrix):
-        base = score(mask, omega)
-        self.fc = omega.fc
-        self.ff = omega.ff
-        self.ind = mask.astype(np.float64)
-        self.n = base.n_s
-        self.sum_fc = base.sum_fc
-        self.sum_ff = base.sum_ff
-
-    def set_bit(self, t: int, value: bool) -> None:
-        if bool(self.ind[t]) == value:
-            return
-        # zero diagonal makes the pair delta safe to compute with t included
-        delta = float(self.ff[t] @ self.ind + self.ff[:, t] @ self.ind)
-        if value:
-            self.n += 1
-            self.sum_fc += self.fc[t]
-            self.sum_ff += delta
-            self.ind[t] = 1.0
-        else:
-            self.n -= 1
-            self.sum_fc -= self.fc[t]
-            self.sum_ff -= delta
-            self.ind[t] = 0.0
-
-    def j(self) -> float:
-        if self.n == 0:
-            return 0.0
-        return self.sum_fc / math.sqrt(self.n + self.sum_ff)
+    Cuts that cross the same number c of the m differing positions give the
+    same children, so column c stands for all of them; row 0 is
+    a[:k] + b[k:], row 1 is b[:k] + a[k:]. Crossing differing position t
+    toggles it in both children and moves each child's sum_ff by t's pair
+    weight with the child's members at that moment: its start parent (b for
+    row 0, a for row 1) with the earlier differing positions swapped to the
+    other parent.
+    """
+    fc, ff = omega.fc, omega.ff
+    diff = np.flatnonzero(a != b)
+    start = np.stack([b, a]).astype(np.float64)
+    pair = start @ ff + start @ ff.T  # weight of each feature with each start, both orders
+    turn = start[1] - start[0]  # +1 where a alone has the bit, -1 where b alone has it
+    # tril(ff + ff.T) @ turn: the swap of the earlier positions (the diagonal is
+    # zero); BLAS reads ff.T as ff's own buffer in Fortran order, without a copy
+    earlier = dtrmv(ff.T, turn, trans=1) + dtrmv(ff.T, turn, lower=1)
+    sign = np.stack([turn, -turn])
+    steps = np.stack([sign, sign * fc, sign * pair + turn * earlier])
+    base = np.stack([start.sum(axis=1), start @ fc, 0.5 * (start * pair).sum(axis=1)])
+    return np.cumsum(np.concatenate([base[..., None], steps[..., diff]], axis=-1), axis=-1)
 
 
 def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> tuple[int, float]:
@@ -104,39 +96,21 @@ def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> tuple[int, fl
     if np.array_equal(a, b):
         return 1, score(a, omega).j_value
 
-    # child1(k) = a[:k] + b[k:], child2(k) = b[:k] + a[k:]
-    child1 = _RunningScore(b, omega)
-    child2 = _RunningScore(a, omega)
-    j1 = np.empty(d - 1)
-    j2 = np.empty(d - 1)
-    flips = np.empty(d - 1, dtype=np.int64)  # differing positions crossed so far
-    crossed = 0
-    for k in range(1, d):
-        t = k - 1
-        if a[t] != b[t]:
-            child1.set_bit(t, bool(a[t]))
-            child2.set_bit(t, bool(b[t]))
-            crossed += 1
-        j1[k - 1] = child1.j()
-        j2[k - 1] = child2.j()
-        flips[k - 1] = crossed
-
-    best = float(np.maximum(j1, j2).max())
-    exact: dict[tuple[int, int], float] = {}
-
-    def exact_j(which: int, k: int) -> float:
-        key = (which, flips[k - 1])
-        if key not in exact:
-            mask = np.concatenate([a[:k], b[k:]]) if which == 1 else np.concatenate([b[:k], a[k:]])
-            exact[key] = score(mask, omega).j_value
-        return exact[key]
+    n, sum_fc, sum_ff = _crossed_sums(a, b, omega)
+    # n_s + sum_ff >= 1 for a non-empty child; the floor only guards empty ones
+    merit = np.where(n > 0, sum_fc / np.sqrt(np.maximum(n + sum_ff, 1.0)), 0.0)
+    # the children at cut k are column crossed[k - 1]: differing positions before k
+    crossed = np.searchsorted(np.flatnonzero(a != b), np.arange(1, d))
+    approx = merit[:, crossed]
+    near = approx >= approx.max() - _NEAR_TIE
+    cuts = np.flatnonzero(near.any(axis=0))
+    _, first = np.unique(crossed[cuts], return_index=True)  # smallest cut per pair of children
 
     k_star, best_j = 1, -math.inf
-    for k in range(1, d):
-        approx = max(j1[k - 1], j2[k - 1])
-        if approx < best - _NEAR_TIE:
-            continue
-        value = max(exact_j(1, k), exact_j(2, k))
+    for i in cuts[first].tolist():
+        k = i + 1
+        children = (np.concatenate([a[:k], b[k:]]), np.concatenate([b[:k], a[k:]]))
+        value = max(score(c, omega).j_value for c, keep in zip(children, near[:, i]) if keep)
         if value > best_j:
             k_star, best_j = k, value
     return k_star, best_j
@@ -171,11 +145,8 @@ def sweep_mutation(mask, omega: GainRatioMatrix) -> tuple[int, float]:
     if n == 1:
         cand[m] = -np.inf  # emptying flip excluded while alternatives exist
 
-    best = float(cand.max())
     r_star, best_j = -1, -math.inf
-    for r in range(d):
-        if cand[r] < best - _NEAR_TIE:
-            continue
+    for r in np.flatnonzero(cand >= cand.max() - _NEAR_TIE).tolist():
         flipped = m.copy()
         flipped[r] = not flipped[r]
         value = score(flipped, omega).j_value

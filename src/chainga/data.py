@@ -152,6 +152,10 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
             rows = [row for row in csv.reader(fh) if row]
     except FileNotFoundError as exc:
         raise DataError(f"dataset file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset file is not UTF-8 text: {path}") from exc
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV in {path}: {exc}") from exc
 
     if not rows:
         raise DataError(f"empty table: {path}")
@@ -188,6 +192,8 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
                 [_parse_number(v) if v.lower() not in MISSING_TOKENS else np.nan for v in col],
                 dtype=np.float64,
             )
+            if np.count_nonzero(np.isfinite(values)) != len(present):  # inf, 1e999, -nan
+                raise DataError(f"column {name!r} in {path} holds a non-finite number")
             if n_missing:
                 values[np.isnan(values)] = float(np.median(values[~np.isnan(values)]))
         else:

@@ -168,11 +168,15 @@ def obtain_omega(dataset: Dataset, cache_path: Path | None) -> tuple[GainRatioMa
     cache_path = Path(cache_path)
     digest = dataset.digest()
     if cache_path.exists():
-        omega, key = load_omega(cache_path)
-        if key == digest and omega.d == dataset.d:
-            log.info("omega cache hit (%s)", cache_path)
-            return omega, "hit"
-        log.info("omega cache key mismatch; recomputing")
+        try:
+            omega, key = load_omega(cache_path)
+        except ValueError as exc:
+            log.info("omega cache unreadable (%s); recomputing", exc)
+        else:
+            if key == digest and omega.d == dataset.d:
+                log.info("omega cache hit (%s)", cache_path)
+                return omega, "hit"
+            log.info("omega cache key mismatch; recomputing")
         omega = build_omega(dataset)
         save_omega(cache_path, omega, digest)
         return omega, "mismatch-recomputed"

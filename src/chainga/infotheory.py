@@ -137,12 +137,23 @@ def save_omega(path, omega: GainRatioMatrix, key: str) -> None:
 
 def load_omega(path) -> tuple[GainRatioMatrix, str]:
     """Load a dumped matrix; callers compare the returned key against the
-    current dataset digest before trusting it."""
+    current dataset digest before trusting it.
+
+    Raises ValueError when the file is not a complete, well-formed dump.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(_DUMP_MAGIC)) != _DUMP_MAGIC:
             raise ValueError(f"{path} is not a gain-ratio matrix dump")
-        header = json.loads(fh.readline())
-        d = int(header["d"])
-        fc = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-        ff = np.frombuffer(fh.read(8 * d * d), dtype="<f8").copy().reshape(d, d)
-    return GainRatioMatrix(fc, ff), str(header["key"])
+        try:
+            header = json.loads(fh.readline())
+            d, key = int(header["d"]), str(header["key"])
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"{path} has a malformed header") from exc
+        body = fh.read()
+    if d < 0 or len(body) != 8 * (d + d * d):
+        raise ValueError(f"{path} holds {len(body)} matrix bytes, not {8 * (d + d * d)} for d={d}")
+    values = np.frombuffer(body, dtype="<f8")
+    fc, ff = values[:d].copy(), values[d:].reshape(d, d).copy()
+    if not ((values >= 0.0) & (values <= 1.0)).all() or ff.diagonal().any():
+        raise ValueError(f"{path} holds values that are not gain ratios")
+    return GainRatioMatrix(fc, ff), key

@@ -9,6 +9,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from chainga.data import SyntheticSpec, generate_synthetic
 from chainga.infotheory import GainRatioMatrix
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property-test modules skip themselves
+    pass
+else:
+    # fixed examples and no example database: every run checks the same cases
+    settings.register_profile(
+        "chainga", derandomize=True, deadline=None, max_examples=150, database=None
+    )
+    settings.load_profile("chainga")
+
 # real benchmark CSVs are looked up here when present (see scripts/fetch_datasets.py)
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

@@ -1,7 +1,9 @@
 """Hand-rolled reference implementations the tests check the library against.
 
 Everything here is deliberately naive (Counter-based entropies, double
-loops, per-candidate enumeration) and shares no code with the package.
+loops, per-candidate enumeration) or is the loop-based predecessor of an
+optimised kernel. Nothing shares code with the package beyond ``score``
+and its near-tie tolerance.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from chainga.criterion import score
+from chainga.criterion import _NEAR_TIE, score
 
 
 def ref_entropy(values) -> float:
@@ -73,6 +75,92 @@ def oracle_crossover(a, b, omega):
         if j > best_j:
             best_k, best_j = k, j
     return best_k, best_j
+
+
+class _RunningScore:
+    """Subset score maintained under add/remove-one-feature updates."""
+
+    __slots__ = ("fc", "ff", "ind", "n", "sum_fc", "sum_ff")
+
+    def __init__(self, mask: np.ndarray, omega):
+        base = score(mask, omega)
+        self.fc = omega.fc
+        self.ff = omega.ff
+        self.ind = mask.astype(np.float64)
+        self.n = base.n_s
+        self.sum_fc = base.sum_fc
+        self.sum_ff = base.sum_ff
+
+    def set_bit(self, t: int, value: bool) -> None:
+        if bool(self.ind[t]) == value:
+            return
+        # zero diagonal makes the pair delta safe to compute with t included
+        delta = float(self.ff[t] @ self.ind + self.ff[:, t] @ self.ind)
+        if value:
+            self.n += 1
+            self.sum_fc += self.fc[t]
+            self.sum_ff += delta
+            self.ind[t] = 1.0
+        else:
+            self.n -= 1
+            self.sum_fc -= self.fc[t]
+            self.sum_ff -= delta
+            self.ind[t] = 0.0
+
+    def j(self) -> float:
+        if self.n == 0:
+            return 0.0
+        return self.sum_fc / math.sqrt(self.n + self.sum_ff)
+
+
+def loop_sweep_crossover(parent_a, parent_b, omega) -> tuple[int, float]:
+    """Predecessor of ``sweep_crossover``: walks the cuts in a Python loop,
+    updating both children one differing bit at a time, then re-scores the
+    near-ties from scratch."""
+    d = omega.d
+    if d < 2:
+        raise ValueError("crossover sweep needs at least 2 features")
+    a = np.asarray(parent_a, dtype=bool)
+    b = np.asarray(parent_b, dtype=bool)
+    if np.array_equal(a, b):
+        return 1, score(a, omega).j_value
+
+    # child1(k) = a[:k] + b[k:], child2(k) = b[:k] + a[k:]
+    child1 = _RunningScore(b, omega)
+    child2 = _RunningScore(a, omega)
+    j1 = np.empty(d - 1)
+    j2 = np.empty(d - 1)
+    flips = np.empty(d - 1, dtype=np.int64)  # differing positions crossed so far
+    crossed = 0
+    for k in range(1, d):
+        t = k - 1
+        if a[t] != b[t]:
+            child1.set_bit(t, bool(a[t]))
+            child2.set_bit(t, bool(b[t]))
+            crossed += 1
+        j1[k - 1] = child1.j()
+        j2[k - 1] = child2.j()
+        flips[k - 1] = crossed
+
+    best = float(np.maximum(j1, j2).max())
+    exact: dict[tuple[int, int], float] = {}
+
+    def exact_j(which: int, k: int) -> float:
+        key = (which, flips[k - 1])
+        if key not in exact:
+            mask = np.concatenate([a[:k], b[k:]]) if which == 1 else np.concatenate([b[:k], a[k:]])
+            exact[key] = score(mask, omega).j_value
+        return exact[key]
+
+    k_star, best_j = 1, -math.inf
+    for k in range(1, d):
+        approx = max(j1[k - 1], j2[k - 1])
+        if approx < best - _NEAR_TIE:
+            continue
+        value = max(exact_j(1, k), exact_j(2, k))
+        if value > best_j:
+            k_star, best_j = k, value
+    return k_star, best_j
 
 
 def oracle_mutation(mask, omega):

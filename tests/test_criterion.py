@@ -4,9 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from chainga.criterion import _RunningScore, score, sweep_crossover, sweep_mutation
+from chainga.criterion import _crossed_sums, score, sweep_crossover, sweep_mutation
 from chainga.infotheory import GainRatioMatrix
-from oracles import oracle_crossover, oracle_mutation, random_omega, ref_subset_merit
+from oracles import (
+    loop_sweep_crossover,
+    oracle_crossover,
+    oracle_mutation,
+    random_omega,
+    ref_subset_merit,
+)
 
 
 def test_score_empty_mask(toy_omega):
@@ -57,20 +63,34 @@ def test_score_all_subsets_match_reference_d10():
     assert worst < 1e-9
 
 
-def test_running_score_matches_scratch():
+def test_crossed_sums_match_scratch_at_every_cut():
     rng = np.random.default_rng(13)
-    omega = random_omega(rng, 25)
-    mask = rng.random(25) < 0.5
-    running = _RunningScore(mask.copy(), omega)
-    current = mask.copy()
-    for _ in range(200):
-        t = int(rng.integers(0, 25))
-        current[t] = not current[t]
-        running.set_bit(t, bool(current[t]))
-        fresh = score(current, omega)
-        assert abs(running.sum_fc - fresh.sum_fc) < 1e-9
-        assert abs(running.sum_ff - fresh.sum_ff) < 1e-9
-        assert abs(running.j() - fresh.j_value) < 1e-9
+    for d in (2, 3, 25, 60):
+        omega = random_omega(rng, d)
+        for _ in range(10):
+            a = rng.random(d) < 0.5
+            b = rng.random(d) < 0.5
+            b[0] = not a[0]  # at least one differing position
+            n, sum_fc, sum_ff = _crossed_sums(a, b, omega)
+            crossed = np.searchsorted(np.flatnonzero(a != b), np.arange(1, d))
+            for k in range(1, d):
+                children = (np.concatenate([a[:k], b[k:]]), np.concatenate([b[:k], a[k:]]))
+                for row, child in enumerate(children):
+                    fresh = score(child, omega)
+                    col = crossed[k - 1]
+                    assert n[row, col] == fresh.n_s
+                    assert abs(sum_fc[row, col] - fresh.sum_fc) < 1e-9
+                    assert abs(sum_ff[row, col] - fresh.sum_ff) < 1e-9
+
+
+def test_sweep_crossover_matches_loop_predecessor():
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        d = int(rng.integers(2, 61))
+        omega = random_omega(rng, d)
+        a = rng.random(d) < rng.uniform(0.1, 0.9)
+        b = rng.random(d) < rng.uniform(0.1, 0.9)
+        assert sweep_crossover(a, b, omega) == loop_sweep_crossover(a, b, omega)
 
 
 def test_sweep_crossover_identical_parents(toy_omega):

@@ -66,6 +66,12 @@ def test_load_csv_no_header(tmp_path):
     assert raw.n_rows == 2 and raw.names == ["f0", "f1", "f2"]
 
 
+def test_load_csv_inf_is_a_category_in_text_columns(tmp_path):
+    path = _write(tmp_path, "a,class\nlow,x\ninf,y\nlow,x\n")
+    raw = load_csv(path, "class")
+    assert raw.is_numeric == [False, False]
+
+
 def test_load_csv_imputes_and_reports(tmp_path):
     path = _write(tmp_path, "a,b,class\n1,x,yes\n?,y,no\n3,?,yes\n5,y,no\n")
     raw = load_csv(path, "class")

@@ -124,6 +124,33 @@ def test_cli_missing_csv_is_data_error(tmp_path):
     assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize(
+    "cell, encoding, error",
+    [
+        ("5", "utf-8", None),  # the table as written runs
+        ("inf", "utf-8", "non-finite"),
+        ("-inf", "utf-8", "non-finite"),
+        ("1e999", "utf-8", "non-finite"),
+        ("-nan", "utf-8", "non-finite"),
+        ("caf\xe9", "latin-1", "UTF-8"),
+        ("9" * 200_000, "utf-8", "malformed CSV"),
+    ],
+    ids=["finite", "inf", "minus-inf", "overflow", "minus-nan", "latin-1", "oversized-field"],
+)
+def test_cli_bad_csv_is_data_error(tmp_path, capsys, cell, encoding, error):
+    rows = ["a,b,class"] + [f"{i},{i % 3},{'xy'[i % 2]}" for i in range(12)]
+    rows[6] = f"{cell},2,y"
+    (tmp_path / "table.csv").write_bytes("\n".join(rows).encode(encoding) + b"\n")
+    manifest = {"type": "csv", "path": "table.csv", "label_column": "class"}
+    config_path = write_configs(tmp_path, manifest=manifest)
+    code = cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    if error is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert error in capsys.readouterr().err
+
+
 def test_cli_flag_overrides(tmp_path):
     config_path = write_configs(tmp_path)
     out = tmp_path / "out"
@@ -240,6 +267,37 @@ def test_omega_cache_mismatch_recomputes(tmp_path):
     cmd_run(cfg, tmp_path / "out")
     manifest = yaml.safe_load((tmp_path / "out" / "run_manifest.yaml").read_text())
     assert manifest["omega_cache"] == "mismatch-recomputed"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda data: b"not-a-dump\n" + data,  # bad magic
+        lambda data: data[: data.index(b"\n") + 5],  # truncated JSON header
+        lambda data: data.replace(b'"d": ', b'"d": "x', 1),  # header not JSON
+        lambda data: data[:-8],  # ff one value short
+        lambda data: data + b"\0" * 8,  # trailing bytes
+        lambda data: data.replace(b'"d": 6}', b'"d": 7}', 1),  # body too short for d
+    ],
+    ids=["magic", "truncated-header", "bad-json", "short-body", "long-body", "wrong-d"],
+)
+def test_cli_corrupt_omega_cache_recomputes(tmp_path, corrupt):
+    config_path = write_configs(tmp_path)
+    reference = tmp_path / "reference"
+    assert cli.main(["run", "--config", str(config_path), "--out", str(reference)]) == 0
+    cache = tmp_path / "omega.bin"
+    assert cli.main(["omega-dump", "--config", str(config_path), "--out", str(cache)]) == 0
+    good = cache.read_bytes()
+    cache.write_bytes(corrupt(good))
+
+    out = tmp_path / "out"
+    args = ["run", "--config", str(config_path), "--out", str(out), "--omega-cache", str(cache)]
+    assert cli.main(args) == 0
+    manifest = yaml.safe_load((out / "run_manifest.yaml").read_text())
+    assert manifest["omega_cache"] == "mismatch-recomputed"
+    for name in ("per_seed.csv", "aggregate.csv", "trace.csv"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
+    assert cache.read_bytes() == good
 
 
 def test_omega_dump_twice_identical(tmp_path):
