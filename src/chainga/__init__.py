@@ -4,62 +4,7 @@ gain ratio subset criterion, wrapped around a KNN classifier."""
 
 __version__ = "0.1.0"
 
-from .classifier import (
-    FitnessEvaluator,
-    FitnessRecord,
-    MetricBundle,
-    combine_fitness,
-    evaluate_metrics,
-    knn_predict,
-)
-from .criterion import SubsetScore, score, sweep_crossover, sweep_mutation
-from .data import (
-    DataError,
-    Dataset,
-    RawTable,
-    SyntheticSpec,
-    generate_synthetic,
-    load_csv,
-    prepare,
-)
-from .evolution import (
-    ChainedPopulation,
-    Chromosome,
-    EvolutionConfig,
-    RunResult,
-    init_population,
-    migrate_elites,
-    run,
-)
-from .infotheory import GainRatioMatrix, build_omega, entropy, information_gain
+from .data import SyntheticSpec, generate_synthetic
+from .evolution import EvolutionConfig
 
-__all__ = [
-    "ChainedPopulation",
-    "Chromosome",
-    "DataError",
-    "Dataset",
-    "EvolutionConfig",
-    "FitnessEvaluator",
-    "FitnessRecord",
-    "GainRatioMatrix",
-    "MetricBundle",
-    "RawTable",
-    "RunResult",
-    "SubsetScore",
-    "SyntheticSpec",
-    "build_omega",
-    "combine_fitness",
-    "entropy",
-    "evaluate_metrics",
-    "generate_synthetic",
-    "information_gain",
-    "init_population",
-    "knn_predict",
-    "load_csv",
-    "migrate_elites",
-    "prepare",
-    "run",
-    "score",
-    "sweep_crossover",
-    "sweep_mutation",
-]
+__all__ = ["EvolutionConfig", "SyntheticSpec", "generate_synthetic"]

@@ -142,9 +142,6 @@ class FitnessCache:
         with self._lock:
             self._data[key] = record
 
-    def __len__(self) -> int:
-        return len(self._data)
-
 
 @dataclass
 class FitnessEvaluator:
@@ -188,19 +185,16 @@ class FitnessEvaluator:
         self.cache.put(key, record)
         return record
 
-    def test_metrics(self, mask: np.ndarray, include_val: bool = False) -> MetricBundle:
-        """Final report: retrain on train (optionally train+val) and score
-        the held-out test partition."""
+    def test_metrics(self, mask: np.ndarray) -> MetricBundle:
+        """Final report: retrain on the training partition and score the
+        held-out test partition."""
         mask = np.asarray(mask, dtype=bool)
         if not mask.any():
             raise ValueError("cannot score an empty feature subset")
         ds = self.dataset
-        fit_idx = ds.train_idx
-        if include_val:
-            fit_idx = np.sort(np.concatenate([fit_idx, ds.val_idx]))
         pred = knn_predict(
-            ds.X_cont[np.ix_(fit_idx, np.flatnonzero(mask))],
-            ds.y[fit_idx],
+            ds.X_cont[np.ix_(ds.train_idx, np.flatnonzero(mask))],
+            ds.y[ds.train_idx],
             ds.X_cont[np.ix_(ds.test_idx, np.flatnonzero(mask))],
             self.k,
         )

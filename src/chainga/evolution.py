@@ -1,7 +1,7 @@
 """Chained multi-population GA engine with guided operators and elite migration.
 
 Each subpopulation is an ordered chain: every chromosome crosses over with
-its successor (ring closure by default), the best of {incumbent, child A,
+its successor (closing the ring), the best of {incumbent, child A,
 child B} takes the slot, and a mutation pass follows. At the end of each
 generation the top elites of every subpopulation replace the worst
 chromosomes of the next one along the ring. The crossover cut and mutation
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,6 @@ class EvolutionConfig:
     elite_interaction: bool = True
     diversity_crossover: bool = True
     diversity_mutation: bool = True
-    chain_mode: str = "ring"
-    migration_mode: str = "snapshot"
 
     def __post_init__(self):
         if self.population_size < 1:
@@ -80,25 +78,10 @@ class EvolutionConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.knn_k < 1:
             raise ValueError(f"knn k must be >= 1, got {self.knn_k}")
-        if self.chain_mode not in ("ring", "line"):
-            raise ValueError(f"unknown chain mode {self.chain_mode!r}")
-        if self.migration_mode not in ("snapshot", "sequential"):
-            raise ValueError(f"unknown migration mode {self.migration_mode!r}")
 
     @property
     def effective_m(self) -> int:
         return self.subpopulations if self.multi_pop else 1
-
-
-@dataclass
-class ChainedPopulation:
-    subpops: list[list[Chromosome]]
-    generation: int = 0
-    global_best: Chromosome | None = None
-
-    @property
-    def size(self) -> int:
-        return sum(len(sp) for sp in self.subpops)
 
 
 @dataclass
@@ -134,7 +117,9 @@ def _repair(genes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return genes
 
 
-def init_population(d: int, config: EvolutionConfig, rng: np.random.Generator) -> ChainedPopulation:
+def init_population(
+    d: int, config: EvolutionConfig, rng: np.random.Generator
+) -> list[list[Chromosome]]:
     """Uniform random bit masks dealt into M chains of N/M chromosomes."""
     m = config.effective_m
     size = config.population_size // m
@@ -145,7 +130,7 @@ def init_population(d: int, config: EvolutionConfig, rng: np.random.Generator) -
             genes = rng.integers(0, 2, size=d).astype(bool)
             chain.append(Chromosome(_repair(genes, rng)))
         subpops.append(chain)
-    return ChainedPopulation(subpops)
+    return subpops
 
 
 def chain_crossover_step(
@@ -155,7 +140,6 @@ def chain_crossover_step(
     config: EvolutionConfig,
     rng: np.random.Generator,
     evaluate,
-    on_crossover=None,
 ) -> Chromosome:
     """Cross position j with its chain successor and keep the best of three.
 
@@ -166,8 +150,6 @@ def chain_crossover_step(
     size = len(subpop)
     d = omega.d
     partner_idx = (j + 1) % size
-    if config.chain_mode == "line" and j == size - 1:
-        return subpop[j]
     if partner_idx == j or d < 2:
         return subpop[j]
 
@@ -177,8 +159,6 @@ def chain_crossover_step(
         k, _ = sweep_crossover(incumbent.genes, partner.genes, omega)
     else:
         k = int(rng.integers(1, d))
-    if on_crossover is not None:
-        on_crossover(j, k, incumbent.genes, partner.genes)
 
     genes_a = _repair(np.concatenate([incumbent.genes[:k], partner.genes[k:]]), rng)
     genes_b = _repair(np.concatenate([partner.genes[:k], incumbent.genes[k:]]), rng)
@@ -224,38 +204,25 @@ def _worst_indices(subpop: list[Chromosome], s: int) -> list[int]:
     return sorted(range(len(subpop)), key=lambda i: (subpop[i].fitness.fitness, i))[:s]
 
 
-def migrate_elites(
-    population: ChainedPopulation, s: int, mode: str = "snapshot"
-) -> ChainedPopulation:
+def migrate_elites(subpops: list[list[Chromosome]], s: int) -> None:
     """Copy each subpopulation's s best chromosomes over the next
-    subpopulation's s worst slots along the ring.
+    subpopulation's s worst slots along the ring, in place.
 
-    Snapshot mode reads every subpopulation's pre-migration state, so the
-    result is independent of processing order; sequential mode follows the
-    ring in index order and lets migrated elites cascade.
+    Every sender and receiver is read before any slot is written, so the
+    result does not depend on the order in which the ring is walked.
     """
-    m = len(population.subpops)
+    m = len(subpops)
     if s == 0 or m < 2:
-        return population
-    if mode == "snapshot":
-        moves = []
-        for i, subpop in enumerate(population.subpops):
-            elites = [subpop[t] for t in _top_indices(subpop, s)]
-            receiver = (i + 1) % m
-            slots = _worst_indices(population.subpops[receiver], s)
-            moves.append((receiver, slots, elites))
-        for receiver, slots, elites in moves:
-            for slot, elite in zip(slots, elites):
-                population.subpops[receiver][slot] = Chromosome(elite.genes, elite.fitness)
-    else:
-        for i in range(m):
-            subpop = population.subpops[i]
-            elites = [subpop[t] for t in _top_indices(subpop, s)]
-            receiver = (i + 1) % m
-            slots = _worst_indices(population.subpops[receiver], s)
-            for slot, elite in zip(slots, elites):
-                population.subpops[receiver][slot] = Chromosome(elite.genes, elite.fitness)
-    return population
+        return
+    moves = []
+    for i, subpop in enumerate(subpops):
+        elites = [subpop[t] for t in _top_indices(subpop, s)]
+        receiver = (i + 1) % m
+        slots = _worst_indices(subpops[receiver], s)
+        moves.append((receiver, slots, elites))
+    for receiver, slots, elites in moves:
+        for slot, elite in zip(slots, elites):
+            subpops[receiver][slot] = Chromosome(elite.genes, elite.fitness)
 
 
 class _BestTracker:
@@ -280,7 +247,6 @@ def _evolve_subpop(
     omega: GainRatioMatrix,
     config: EvolutionConfig,
     evaluator: FitnessEvaluator,
-    observer=None,
 ) -> _BestTracker:
     """One generation of chain crossover plus mutation for one subpopulation.
 
@@ -295,14 +261,8 @@ def _evolve_subpop(
         tracker.offer(genes, record)
         return record
 
-    on_crossover = None
-    if observer is not None and hasattr(observer, "on_crossover"):
-        on_crossover = lambda j, k, a, b: observer.on_crossover(
-            generation, subpop_idx, j, k, a, b
-        )
-
     for j in range(len(subpop)):
-        chain_crossover_step(subpop, j, omega, config, rng, evaluate, on_crossover)
+        chain_crossover_step(subpop, j, omega, config, rng, evaluate)
     for j in range(len(subpop)):
         subpop[j] = mutation_step(subpop[j], omega, config, rng)
     for ch in subpop:
@@ -316,8 +276,6 @@ def run(
     config: EvolutionConfig,
     omega: GainRatioMatrix | None = None,
     threads: int = 1,
-    observer=None,
-    include_val_in_final: bool = False,
 ) -> RunResult:
     """Full evolutionary search: returns the globally best mask, its test
     metrics, and a per-generation trace."""
@@ -326,9 +284,9 @@ def run(
         omega = build_omega(dataset)
     evaluator = FitnessEvaluator(dataset, config.alpha, config.knn_k)
 
-    population = init_population(dataset.d, config, _stream(config.seed, 0))
+    subpops = init_population(dataset.d, config, _stream(config.seed, 0))
     archive = _BestTracker()
-    for subpop in population.subpops:
+    for subpop in subpops:
         for ch in subpop:
             ch.fitness = evaluator.evaluate(ch.genes)
             archive.offer(ch.genes, ch.fitness)
@@ -336,33 +294,26 @@ def run(
     trace: list[TraceRow] = []
     curve: list[float] = []
     for gen in range(1, config.generations + 1):
-        population.generation = gen
-        if threads > 1 and len(population.subpops) > 1:
+        if threads > 1 and len(subpops) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 futures = [
-                    pool.submit(
-                        _evolve_subpop, sp, i, gen, omega, config, evaluator, observer
-                    )
-                    for i, sp in enumerate(population.subpops)
+                    pool.submit(_evolve_subpop, sp, i, gen, omega, config, evaluator)
+                    for i, sp in enumerate(subpops)
                 ]
                 trackers = [f.result() for f in futures]
         else:
             trackers = [
-                _evolve_subpop(sp, i, gen, omega, config, evaluator, observer)
-                for i, sp in enumerate(population.subpops)
+                _evolve_subpop(sp, i, gen, omega, config, evaluator)
+                for i, sp in enumerate(subpops)
             ]
         for tracker in trackers:  # merge in subpop order: deterministic
             archive.merge(tracker)
 
         if config.elite_interaction:
-            before = [list(sp) for sp in population.subpops]
-            migrate_elites(population, config.elites, config.migration_mode)
-            if observer is not None and hasattr(observer, "on_migration"):
-                observer.on_migration(gen, before, population)
+            migrate_elites(subpops, config.elites)
 
-        population.global_best = archive.best
         curve.append(archive.best.fitness.fitness)
-        for i, subpop in enumerate(population.subpops):
+        for i, subpop in enumerate(subpops):
             values = [ch.fitness.fitness for ch in subpop]
             top = int(np.argmax(values))
             trace.append(
@@ -377,7 +328,7 @@ def run(
             )
 
     best = archive.best
-    metrics = evaluator.test_metrics(best.genes, include_val=include_val_in_final)
+    metrics = evaluator.test_metrics(best.genes)
     return RunResult(
         best_mask=best.genes,
         best_fitness=best.fitness,

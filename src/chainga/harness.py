@@ -86,11 +86,19 @@ def _load_yaml(path: Path) -> dict:
     return content
 
 
+def _require_int(name: str, value, minimum: int | None = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
 def load_run_config(path, **overrides) -> HarnessConfig:
     """Read a YAML run config; keyword overrides win over file values.
 
     A bare dataset manifest (a mapping with a 'type' key) is accepted too
-    and paired with default evolution settings.
+    and paired with default evolution settings. Field types are checked
+    after the overrides are applied.
     """
     path = Path(path)
     raw = _load_yaml(path)
@@ -111,22 +119,34 @@ def load_run_config(path, **overrides) -> HarnessConfig:
 
     cache = raw.get("omega_cache")
     seeds = raw.get("seeds")
+    evolution = raw.get("evolution")
+    if evolution is not None and not isinstance(evolution, dict):
+        raise ConfigError(f"{path}: 'evolution' must be a mapping")
+    if cache is not None and not isinstance(cache, str):
+        raise ConfigError(f"{path}: 'omega_cache' must be a path")
     cfg = HarnessConfig(
         manifest=manifest,
         manifest_dir=manifest_dir,
-        evolution=dict(raw.get("evolution") or {}),
-        seeds=[1, 2, 3, 4, 5] if seeds is None else list(seeds),
-        bins=int(raw.get("bins", manifest.get("bins", 10))),
+        evolution=dict(evolution or {}),
+        seeds=[1, 2, 3, 4, 5] if seeds is None else seeds,
+        bins=raw.get("bins", manifest.get("bins", 10)),
         subsample=raw.get("subsample"),
-        split_seed=int(raw.get("split_seed", 0)),
-        threads=int(raw.get("threads", 1)),
+        split_seed=raw.get("split_seed", 0),
+        threads=raw.get("threads", 1),
         omega_cache=(path.parent / cache) if cache else None,
     )
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
-    if not cfg.seeds:
-        raise ConfigError("seed list must not be empty")
+    if not isinstance(cfg.seeds, list) or not cfg.seeds:
+        raise ConfigError(f"seed list must be a non-empty list of integers, got {cfg.seeds!r}")
+    for seed in cfg.seeds:
+        _require_int("seed", seed)
+    _require_int("threads", cfg.threads, minimum=1)
+    _require_int("bins", cfg.bins)
+    _require_int("split_seed", cfg.split_seed)
+    if cfg.subsample is not None:
+        _require_int("subsample", cfg.subsample, minimum=1)
     return cfg
 
 
@@ -146,8 +166,8 @@ def build_dataset(cfg: HarnessConfig) -> Dataset:
             )
         except KeyError as exc:
             raise ConfigError(f"synthetic manifest missing field {exc}") from exc
-        return generate_synthetic(spec, bins=cfg.bins)
-    if kind == "csv":
+        dataset = generate_synthetic(spec, bins=cfg.bins)
+    elif kind == "csv":
         try:
             csv_path = cfg.manifest_dir / manifest["path"]
             label_column = manifest["label_column"]
@@ -155,9 +175,16 @@ def build_dataset(cfg: HarnessConfig) -> Dataset:
             raise ConfigError(f"csv manifest missing field {exc}") from exc
         raw = load_csv(csv_path, label_column, header=bool(manifest.get("header", True)))
         if cfg.subsample:
-            raw = subsample_raw(raw, int(cfg.subsample), cfg.split_seed)
-        return prepare(raw, bins=cfg.bins, split_seed=cfg.split_seed)
-    raise ConfigError(f"unknown dataset manifest type {kind!r}")
+            raw = subsample_raw(raw, cfg.subsample, cfg.split_seed)
+        dataset = prepare(raw, bins=cfg.bins, split_seed=cfg.split_seed)
+    else:
+        raise ConfigError(f"unknown dataset manifest type {kind!r}")
+    # fitness needs validation rows and the final report needs test rows
+    for part, idx in (("train", dataset.train_idx), ("validation", dataset.val_idx),
+                      ("test", dataset.test_idx)):
+        if idx.size == 0:
+            raise DataError(f"{dataset.n_rows} rows leave the {part} partition empty")
+    return dataset
 
 
 def obtain_omega(dataset: Dataset, cache_path: Path | None) -> tuple[GainRatioMatrix, str]:
@@ -167,24 +194,26 @@ def obtain_omega(dataset: Dataset, cache_path: Path | None) -> tuple[GainRatioMa
         return build_omega(dataset), "disabled"
     cache_path = Path(cache_path)
     digest = dataset.digest()
-    if cache_path.exists():
-        try:
-            omega, key = load_omega(cache_path)
-        except ValueError as exc:
-            log.info("omega cache unreadable (%s); recomputing", exc)
-        else:
-            if key == digest and omega.d == dataset.d:
-                log.info("omega cache hit (%s)", cache_path)
-                return omega, "hit"
-            log.info("omega cache key mismatch; recomputing")
+    status = "miss-created"
+    try:
+        if cache_path.exists():
+            status = "mismatch-recomputed"
+            try:
+                omega, key = load_omega(cache_path)
+            except ValueError as exc:
+                log.info("omega cache unreadable (%s); recomputing", exc)
+            else:
+                if key == digest and omega.d == dataset.d:
+                    log.info("omega cache hit (%s)", cache_path)
+                    return omega, "hit"
+                log.info("omega cache key mismatch; recomputing")
         omega = build_omega(dataset)
+        cache_path.parent.mkdir(parents=True, exist_ok=True)
         save_omega(cache_path, omega, digest)
-        return omega, "mismatch-recomputed"
-    omega = build_omega(dataset)
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    save_omega(cache_path, omega, digest)
-    log.info("omega cache created (%s)", cache_path)
-    return omega, "miss-created"
+    except OSError as exc:
+        raise ConfigError(f"cannot use omega cache {cache_path}: {exc}") from exc
+    log.info("omega cache written (%s, %s)", cache_path, status)
+    return omega, status
 
 
 def _fmt(x: float) -> str:
@@ -307,13 +336,29 @@ def _write_timings(out_dir: Path, results: list[RunResult]) -> None:
 PER_SEED_FIELDS = ["seed", *METRIC_FIELDS, "n_selected", "mask"]
 
 
-def cmd_run(cfg: HarnessConfig, out_dir) -> list[RunResult]:
-    """One battery with the configured flags; writes per-seed and aggregate
-    tables plus the trace and the run manifest."""
+def _set_up(cfg: HarnessConfig, out_dir) -> tuple[Path, Dataset, GainRatioMatrix, str]:
+    """Create the output directory, then build the dataset and its
+    gain-ratio matrix. Returns (directory, dataset, matrix, cache status)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg)
     omega, cache_status = obtain_omega(dataset, cfg.omega_cache)
+    return out_dir, dataset, omega, cache_status
+
+
+def _median_row(
+    cfg: HarnessConfig, dataset: Dataset, omega: GainRatioMatrix, **overrides
+) -> tuple[dict, list[dict]]:
+    """One battery: its median metrics and its per-seed rows."""
+    rows = [result_row(r) for r in run_battery(cfg, dataset, omega, **overrides)]
+    medians = aggregate_rows(rows)[0]
+    return {metric: medians[metric] for metric in METRIC_FIELDS}, rows
+
+
+def cmd_run(cfg: HarnessConfig, out_dir) -> list[RunResult]:
+    """One battery with the configured flags; writes per-seed and aggregate
+    tables plus the trace and the run manifest."""
+    out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
     results = run_battery(cfg, dataset, omega)
     rows = [result_row(r) for r in results]
     write_table(out_dir / "per_seed.csv", PER_SEED_FIELDS, rows)
@@ -334,10 +379,7 @@ def _flag_cells(flags: tuple[bool, bool, bool, bool]) -> dict:
 
 def cmd_ablation(cfg: HarnessConfig, out_dir) -> list[dict]:
     """Six-row ablation over the operator flags, medians across seeds."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = build_dataset(cfg)
-    omega, cache_status = obtain_omega(dataset, cfg.omega_cache)
+    out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
 
     table = []
     detail = []
@@ -345,13 +387,8 @@ def cmd_ablation(cfg: HarnessConfig, out_dir) -> list[dict]:
         overrides = dict(zip(
             ("multi_pop", "elite_interaction", "diversity_crossover", "diversity_mutation"), flags
         ))
-        results = run_battery(cfg, dataset, omega, **overrides)
-        rows = [result_row(r) for r in results]
-        medians = aggregate_rows(rows)[0]
-        entry = _flag_cells(flags)
-        for metric in METRIC_FIELDS:
-            entry[metric] = medians[metric]
-        table.append(entry)
+        medians, rows = _median_row(cfg, dataset, omega, **overrides)
+        table.append({**_flag_cells(flags), **medians})
         for row in rows:
             detail.append({**_flag_cells(flags), **row})
 
@@ -366,16 +403,11 @@ def cmd_ablation(cfg: HarnessConfig, out_dir) -> list[dict]:
 def cmd_sensitivity(cfg: HarnessConfig, parameter: str, values: list[int], out_dir) -> list[dict]:
     """Sweep subpopulation count M or elite count S, one aggregate row per
     value; the non-swept parameter keeps its configured default."""
-    out_dir = Path(out_dir)
     parameter = parameter.upper()
     if parameter not in ("M", "S"):
         raise ConfigError(f"sensitivity parameter must be 'M' or 'S', got {parameter!r}")
     if not values:
         raise ConfigError("sensitivity sweep needs at least one value")
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = build_dataset(cfg)
-    omega, cache_status = obtain_omega(dataset, cfg.omega_cache)
 
     # validate the whole sweep before burning any compute
     sweeps = []
@@ -384,15 +416,11 @@ def cmd_sensitivity(cfg: HarnessConfig, parameter: str, values: list[int], out_d
         sweeps.append((value, {key: int(value)}))
         cfg.evolution_config(0, **sweeps[-1][1])
 
+    out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
     table = []
     for value, overrides in sweeps:
-        results = run_battery(cfg, dataset, omega, **overrides)
-        rows = [result_row(r) for r in results]
-        medians = aggregate_rows(rows)[0]
-        entry = {"parameter": parameter, "value": value}
-        for metric in METRIC_FIELDS:
-            entry[metric] = medians[metric]
-        table.append(entry)
+        medians, _ = _median_row(cfg, dataset, omega, **overrides)
+        table.append({"parameter": parameter, "value": value, **medians})
 
     write_table(out_dir / "sensitivity.csv", ["parameter", "value", *METRIC_FIELDS], table)
     _write_run_manifest(

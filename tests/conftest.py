@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from chainga import evolution
 from chainga.data import SyntheticSpec, generate_synthetic
 from chainga.infotheory import GainRatioMatrix
 
@@ -58,3 +59,22 @@ def small_dataset():
     return generate_synthetic(
         SyntheticSpec(n_rows=120, n_informative=3, n_redundant=2, n_noise=4, n_classes=2, seed=3)
     )
+
+
+@pytest.fixture
+def migration_events(monkeypatch) -> list:
+    """(before, after) of every elite migration, each subpopulation as a
+    list of (genes, fitness) pairs, recorded from outside the library."""
+    events = []
+    migrate = evolution.migrate_elites
+
+    def snapshot(subpops):
+        return [[(ch.genes.copy(), ch.fitness.fitness) for ch in sp] for sp in subpops]
+
+    def recording(subpops, s):
+        before = snapshot(subpops)
+        migrate(subpops, s)
+        events.append((before, snapshot(subpops)))
+
+    monkeypatch.setattr(evolution, "migrate_elites", recording)
+    return events

@@ -148,17 +148,7 @@ def test_criterion_4_fitness_arithmetic():
     assert acc_monotone and size_monotone
 
 
-class _MigrationRecorder:
-    def __init__(self):
-        self.events = []
-
-    def on_migration(self, generation, before, population):
-        pre = [[(ch.genes.copy(), ch.fitness.fitness) for ch in sp] for sp in before]
-        post = [[ch.genes.copy() for ch in sp] for sp in population.subpops]
-        self.events.append((pre, post))
-
-
-def test_criterion_5_structural_invariants():
+def test_criterion_5_structural_invariants(migration_events):
     t0 = time.perf_counter()
     ds = generate_synthetic(
         SyntheticSpec(n_rows=120, n_informative=3, n_redundant=3, n_noise=6, n_classes=2, seed=0)
@@ -167,8 +157,8 @@ def test_criterion_5_structural_invariants():
     failures = []
     for seed in range(1, 21):
         cfg = benchmark_protocol(seed)
-        recorder = _MigrationRecorder()
-        serial = run(ds, cfg, omega=omega, observer=recorder)
+        migration_events.clear()
+        serial = run(ds, cfg, omega=omega)
 
         for gen in range(1, 31):
             sizes = [row.size for row in serial.trace if row.generation == gen]
@@ -177,12 +167,14 @@ def test_criterion_5_structural_invariants():
         curve = serial.global_best_curve
         if not all(b >= a for a, b in zip(curve, curve[1:])):
             failures.append(f"seed {seed}: global best decreased")
-        for pre, post in recorder.events:
+        if len(migration_events) != 30:
+            failures.append(f"seed {seed}: {len(migration_events)} migrations recorded, not 30")
+        for pre, post in migration_events:
             for i in range(3):
                 top = sorted(pre[i], key=lambda t: -t[1])[:2]
                 receiver = post[(i + 1) % 3]
                 for genes, _ in top:
-                    if not any(np.array_equal(genes, g) for g in receiver):
+                    if not any(np.array_equal(genes, g) for g, _ in receiver):
                         failures.append(f"seed {seed}: migrated elite missing")
 
         threaded = run(ds, cfg, omega=omega, threads=3)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from chainga import evolution
 from chainga.classifier import FitnessEvaluator, FitnessRecord, mask_key
 from chainga.data import SyntheticSpec, generate_synthetic
 from chainga.evolution import (
-    ChainedPopulation,
     Chromosome,
     EvolutionConfig,
     _stream,
@@ -52,8 +52,6 @@ def test_config_validation_errors():
         EvolutionConfig(mutation_prob=1.5)
     with pytest.raises(ValueError):
         EvolutionConfig(generations=0)
-    with pytest.raises(ValueError):
-        EvolutionConfig(chain_mode="mesh")
 
 
 def test_config_multi_pop_off_ignores_divisibility():
@@ -64,22 +62,22 @@ def test_config_multi_pop_off_ignores_divisibility():
 def test_init_population_sizes():
     cfg = EvolutionConfig(population_size=30, subpopulations=3, elites=2)
     pop = init_population(12, cfg, _stream(0, 0))
-    assert len(pop.subpops) == 3
-    assert [len(sp) for sp in pop.subpops] == [10, 10, 10]
-    assert pop.size == 30
+    assert len(pop) == 3
+    assert [len(sp) for sp in pop] == [10, 10, 10]
+    assert sum(len(sp) for sp in pop) == 30
 
 
 def test_init_population_single_subpop():
     cfg = EvolutionConfig(population_size=8, subpopulations=1, elites=2)
     pop = init_population(5, cfg, _stream(1, 0))
-    assert len(pop.subpops) == 1 and len(pop.subpops[0]) == 8
+    assert len(pop) == 1 and len(pop[0]) == 8
 
 
 def test_init_population_deterministic():
     cfg = EvolutionConfig(population_size=12, subpopulations=3, elites=1)
     a = init_population(9, cfg, _stream(7, 0))
     b = init_population(9, cfg, _stream(7, 0))
-    for sa, sb in zip(a.subpops, b.subpops):
+    for sa, sb in zip(a, b):
         for ca, cb in zip(sa, sb):
             assert np.array_equal(ca.genes, cb.genes)
 
@@ -87,7 +85,7 @@ def test_init_population_deterministic():
 def test_init_population_repairs_empty_masks():
     cfg = EvolutionConfig(population_size=30, subpopulations=3, elites=2)
     pop = init_population(1, cfg, _stream(3, 0))
-    assert all(ch.genes.any() for sp in pop.subpops for ch in sp)
+    assert all(ch.genes.any() for sp in pop for ch in sp)
 
 
 def test_chain_crossover_identical_parents_keeps_incumbent(flat_omega):
@@ -162,20 +160,11 @@ def test_chain_crossover_last_position_partners_with_first():
     assert np.array_equal(out.genes, first.genes)
 
 
-def test_chain_crossover_line_mode_skips_last(flat_omega):
-    incumbent = _chrom([0, 0, 0, 1], 0.1)
-    subpop = [_chrom([1, 0, 0, 1], 0.8), incumbent]
-    cfg = EvolutionConfig(population_size=4, subpopulations=1, elites=0, chain_mode="line")
-    out = chain_crossover_step(subpop, 1, flat_omega, cfg, _stream(0, 9), _stub_evaluate({}))
-    assert out is incumbent
-
-
 def test_chain_crossover_never_decreases_fitness(small_dataset):
     omega = build_omega(small_dataset)
     evaluator = FitnessEvaluator(small_dataset)
     cfg = EvolutionConfig(population_size=6, subpopulations=1, elites=0, seed=5)
-    pop = init_population(small_dataset.d, cfg, _stream(5, 0))
-    subpop = pop.subpops[0]
+    subpop = init_population(small_dataset.d, cfg, _stream(5, 0))[0]
     for ch in subpop:
         ch.fitness = evaluator.evaluate(ch.genes)
     before = [ch.fitness.fitness for ch in subpop]
@@ -234,22 +223,22 @@ def test_mutation_repairs_emptied_mask():
 
 
 def test_migrate_zero_elites_noop():
-    pop = ChainedPopulation([[_chrom([1, 0], 0.5)], [_chrom([0, 1], 0.4)]])
-    before = [[ch for ch in sp] for sp in pop.subpops]
+    pop = [[_chrom([1, 0], 0.5)], [_chrom([0, 1], 0.4)]]
+    before = [[ch for ch in sp] for sp in pop]
     migrate_elites(pop, 0)
-    assert pop.subpops == before
+    assert pop == before
 
 
 def test_migrate_hand_case_two_subpops():
     a, b = _chrom([1, 0, 0, 0], 0.9), _chrom([0, 1, 0, 0], 0.1)
     c, d = _chrom([0, 0, 1, 0], 0.8), _chrom([0, 0, 0, 1], 0.2)
-    pop = ChainedPopulation([[a, b], [c, d]])
+    pop = [[a, b], [c, d]]
     migrate_elites(pop, 1)
     # P1's worst (b) replaced by P2's elite c; P2's worst (d) by P1's elite a
-    assert pop.subpops[0][0] is a
-    assert np.array_equal(pop.subpops[0][1].genes, c.genes)
-    assert pop.subpops[1][0] is c
-    assert np.array_equal(pop.subpops[1][1].genes, a.genes)
+    assert pop[0][0] is a
+    assert np.array_equal(pop[0][1].genes, c.genes)
+    assert pop[1][0] is c
+    assert np.array_equal(pop[1][1].genes, a.genes)
 
 
 def test_migrate_senders_keep_their_elites():
@@ -260,10 +249,10 @@ def test_migrate_senders_keep_their_elites():
     top_before = [
         sorted(sp, key=lambda ch: -ch.fitness.fitness)[:2][0].genes.copy() for sp in subpops
     ]
-    pop = ChainedPopulation([list(sp) for sp in subpops])
+    pop = [list(sp) for sp in subpops]
     migrate_elites(pop, 2)
     for i, genes in enumerate(top_before):
-        assert any(np.array_equal(ch.genes, genes) for ch in pop.subpops[i])
+        assert any(np.array_equal(ch.genes, genes) for ch in pop[i])
 
 
 def test_migrate_receivers_contain_top_elites():
@@ -278,25 +267,21 @@ def test_migrate_receivers_contain_top_elites():
             [ch.genes.copy() for ch in sorted(sp, key=lambda ch: -ch.fitness.fitness)[:s]]
             for sp in subpops
         ]
-        pop = ChainedPopulation([list(sp) for sp in subpops])
+        pop = [list(sp) for sp in subpops]
         migrate_elites(pop, s)
         for i in range(m):
-            receiver = pop.subpops[(i + 1) % m]
+            receiver = pop[(i + 1) % m]
             for genes in elites[i]:
                 assert any(np.array_equal(ch.genes, genes) for ch in receiver)
 
 
-def test_migrate_snapshot_vs_sequential_cascade():
+def test_migrate_reads_the_pre_migration_snapshot():
     a, b, c = _chrom([1, 0], 0.9), _chrom([0, 1], 0.5), _chrom([1, 1], 0.1)
-    snapshot = ChainedPopulation([[a], [b], [c]])
-    migrate_elites(snapshot, 1, mode="snapshot")
-    assert [sp[0].fitness.fitness for sp in snapshot.subpops] == [0.1, 0.9, 0.5]
-    sequential = ChainedPopulation(
-        [[_chrom([1, 0], 0.9)], [_chrom([0, 1], 0.5)], [_chrom([1, 1], 0.1)]]
-    )
-    migrate_elites(sequential, 1, mode="sequential")
-    # the strongest chromosome cascades through the whole ring
-    assert [sp[0].fitness.fitness for sp in sequential.subpops] == [0.9, 0.9, 0.9]
+    pop = [[a], [b], [c]]
+    migrate_elites(pop, 1)
+    # each subpop receives its predecessor's elite as it was before any move,
+    # so the strongest chromosome advances one step instead of cascading
+    assert [sp[0].fitness.fitness for sp in pop] == [0.1, 0.9, 0.5]
 
 
 def _tiny_dataset(d_noise=2, seed=2):
@@ -320,7 +305,7 @@ def test_run_fixed_point_with_identical_chromosomes():
                         generations=1, mutation_prob=0.0, seed=s,
                     ),
                     _stream(s, 0),
-                ).subpops[0]
+                )[0]
             ]
         )
     )
@@ -330,9 +315,9 @@ def test_run_fixed_point_with_identical_chromosomes():
     )
     result = run(ds, cfg)
     pop = init_population(ds.d, cfg, _stream(seed, 0))
-    expected = FitnessEvaluator(ds, cfg.alpha, cfg.knn_k).evaluate(pop.subpops[0][0].genes)
+    expected = FitnessEvaluator(ds, cfg.alpha, cfg.knn_k).evaluate(pop[0][0].genes)
     assert result.best_fitness == expected
-    assert np.array_equal(result.best_mask, pop.subpops[0][0].genes)
+    assert np.array_equal(result.best_mask, pop[0][0].genes)
 
 
 def test_run_population_size_and_monotone_best(small_dataset):
@@ -377,40 +362,37 @@ def test_run_all_flags_off_is_single_population_random_ga(small_dataset):
     assert np.array_equal(plain.best_mask, explicit.best_mask)
 
 
-class _CrossoverRecorder:
-    def __init__(self):
-        self.events = []
+@pytest.fixture
+def crossover_events(monkeypatch) -> list:
+    """(k, parent A, parent B) of every guided crossover sweep, recorded
+    from outside the library."""
+    events = []
+    sweep = evolution.sweep_crossover
 
-    def on_crossover(self, generation, subpop, j, k, parent_a, parent_b):
-        self.events.append((generation, subpop, j, k, parent_a.copy(), parent_b.copy()))
+    def recording(a, b, omega):
+        k, j_value = sweep(a, b, omega)
+        events.append((k, a.copy(), b.copy()))
+        return k, j_value
+
+    monkeypatch.setattr(evolution, "sweep_crossover", recording)
+    return events
 
 
-def test_run_guided_crossover_points_match_oracle(small_dataset):
+def test_run_guided_crossover_points_match_oracle(small_dataset, crossover_events):
     omega = build_omega(small_dataset)
-    recorder = _CrossoverRecorder()
     cfg = EvolutionConfig(population_size=6, subpopulations=2, elites=1, generations=3, seed=19)
-    run(small_dataset, cfg, omega=omega, observer=recorder)
-    assert recorder.events
-    for _, _, _, k, a, b in recorder.events:
+    run(small_dataset, cfg, omega=omega)
+    # 3 generations x 2 subpops x 3 chain steps, each sweeping once
+    assert len(crossover_events) == 18
+    for k, a, b in crossover_events:
         assert k == oracle_crossover(a, b, omega)[0]
 
 
-class _MigrationRecorder:
-    def __init__(self):
-        self.events = []
-
-    def on_migration(self, generation, before, population):
-        pre = [[(ch.genes.copy(), ch.fitness.fitness) for ch in sp] for sp in before]
-        post = [[(ch.genes.copy(), ch.fitness.fitness) for ch in sp] for sp in population.subpops]
-        self.events.append((generation, pre, post))
-
-
-def test_run_migration_containment(small_dataset):
-    recorder = _MigrationRecorder()
+def test_run_migration_containment(small_dataset, migration_events):
     cfg = EvolutionConfig(population_size=12, subpopulations=3, elites=2, generations=4, seed=23)
-    run(small_dataset, cfg, observer=recorder)
-    assert len(recorder.events) == 4
-    for _, pre, post in recorder.events:
+    run(small_dataset, cfg)
+    assert len(migration_events) == 4
+    for pre, post in migration_events:
         for i in range(3):
             top = sorted(pre[i], key=lambda t: -t[1])[:2]
             receiver = post[(i + 1) % 3]

@@ -151,6 +151,61 @@ def test_cli_bad_csv_is_data_error(tmp_path, capsys, cell, encoding, error):
         assert error in capsys.readouterr().err
 
 
+def test_cli_too_few_rows_for_every_partition_is_data_error(tmp_path, capsys):
+    (tmp_path / "table.csv").write_text("a,b,class\n1,2,x\n2,3,y\n4,5,x\n6,7,y\n")
+    manifest = {"type": "csv", "path": "table.csv", "label_column": "class"}
+    config_path = write_configs(tmp_path, manifest=manifest)
+    assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cache",
+    [lambda tmp: tmp, lambda tmp: tmp / "run.yaml" / "omega.bin"],
+    ids=["existing-directory", "under-a-file"],
+)
+def test_cli_unusable_omega_cache_is_config_error(tmp_path, capsys, cache):
+    config_path = write_configs(tmp_path)
+    args = ["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+            "--omega-cache", str(cache(tmp_path))]
+    assert cli.main(args) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, flags, error",
+    [
+        ({}, [], None),  # the config as written runs
+        ({"seeds": 5}, [], "seed list"),
+        ({"seeds": ["a"]}, [], "seed must be an integer"),
+        ({"seeds": [1.5]}, [], "seed must be an integer"),
+        ({"seeds": [True]}, [], "seed must be an integer"),
+        ({"threads": "x"}, [], "threads must be an integer"),
+        ({"threads": 0}, [], "threads must be >= 1"),
+        ({}, ["--threads", "0"], "threads must be >= 1"),
+        ({"bins": "x"}, [], "bins must be an integer"),
+        ({"split_seed": [1]}, [], "split_seed must be an integer"),
+        ({"subsample": "abc"}, [], "subsample must be an integer"),
+        ({"subsample": 0}, [], "subsample must be >= 1"),
+        ({"evolution": [1]}, [], "'evolution' must be a mapping"),
+        ({"evolution": dict(EVOLUTION, chain_mode="ring")}, [], "chain_mode"),
+        ({"omega_cache": 5}, [], "'omega_cache' must be a path"),
+    ],
+    ids=["valid", "seeds-int", "seeds-str", "seeds-float", "seeds-bool", "threads-str",
+         "threads-zero", "threads-flag-zero", "bins-str", "split-seed-list", "subsample-str",
+         "subsample-zero", "evolution-list", "evolution-chain-mode", "omega-cache-int"],
+)
+def test_cli_invalid_run_config_is_config_error(tmp_path, capsys, extra, flags, error):
+    config_path = write_configs(tmp_path, extra=extra)
+    code = cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), *flags])
+    if error is None:
+        assert code == 0
+    else:
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and error in err
+
+
 def test_cli_flag_overrides(tmp_path):
     config_path = write_configs(tmp_path)
     out = tmp_path / "out"
@@ -217,6 +272,7 @@ def test_sensitivity_rejects_non_divisor(tmp_path):
     config_path = write_configs(tmp_path, evolution=dict(EVOLUTION, population_size=30))
     with pytest.raises(ConfigError, match="divide"):
         cmd_sensitivity(load_run_config(config_path), "M", [1, 3, 4], tmp_path / "x")
+    assert not (tmp_path / "x").exists()  # rejected before any set-up
     code = cli.main(
         ["sensitivity", "--config", str(config_path), "--out", str(tmp_path / "y"),
          "--parameter", "M", "--values", "4"]
