@@ -24,41 +24,43 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    k = min(k, train_X.shape[0])
     dists = cdist(query_X, train_X)
-    # stable argsort keeps lower training-row index first on equal distance
-    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    labels = train_y[order]  # (n_query, k) in distance order
+    labels = train_y[_nearest(dists, k)]  # (n_query, k) in distance order
 
     n_query = labels.shape[0]
     n_classes = int(train_y.max()) + 1
-    rows = np.repeat(np.arange(n_query), k)
-    cols = labels.ravel()
-    votes = np.zeros((n_query, n_classes), dtype=np.int64)
-    np.add.at(votes, (rows, cols), 1)
-    first_rank = np.full((n_query, n_classes), k, dtype=np.int64)
-    np.minimum.at(first_rank, (rows, cols), np.tile(np.arange(k), n_query))
+    rows = np.arange(n_query)[:, None]
+    votes = np.bincount((rows * n_classes + labels).ravel(), minlength=n_query * n_classes)
+    votes = votes.reshape(n_query, n_classes)
+    # the first rank holding a top-voted class holds the tied class whose
+    # nearest member ranks first
+    top = votes[rows, labels] == votes.max(axis=1, keepdims=True)
+    return labels[rows[:, 0], np.argmax(top, axis=1)]
 
-    tied = votes == votes.max(axis=1, keepdims=True)
-    rank_among_tied = np.where(tied, first_rank, k + 1)
-    return np.argmin(rank_among_tied, axis=1)
+
+def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries, ordered by (value,
+    column): the first k columns of a stable argsort, without sorting rows."""
+    n_query, n_train = dists.shape
+    if k >= n_train:
+        return np.argsort(dists, axis=1, kind="stable")
+    kth = np.partition(dists, k - 1, axis=1)[:, [k - 1]]
+    # every entry <= the k-th value is a candidate; columns ascend within a row
+    rows, cols = np.nonzero(dists <= kth)
+    order = np.lexsort((dists[rows, cols], rows))  # stable: ties keep column order
+    counts = np.bincount(rows, minlength=n_query)
+    starts = np.cumsum(counts) - counts
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 @dataclass
 class MetricBundle:
-    """Weighted-average classification metrics plus per-class counts."""
+    """Accuracy and class-support-weighted precision, recall and F1."""
 
     accuracy: float
     precision: float
     recall: float
     f1: float
-    support: np.ndarray
-    tp: np.ndarray
-    fp: np.ndarray
-    fn: np.ndarray
-    per_class_precision: np.ndarray
-    per_class_recall: np.ndarray
-    per_class_f1: np.ndarray
 
 
 def evaluate_metrics(y_true, y_pred, n_classes: int | None = None) -> MetricBundle:
@@ -76,14 +78,12 @@ def evaluate_metrics(y_true, y_pred, n_classes: int | None = None) -> MetricBund
     if n_classes is None:
         n_classes = int(max(y_true.max(), y_pred.max())) + 1
 
-    classes = np.arange(n_classes)
-    tp = np.array([np.sum((y_true == c) & (y_pred == c)) for c in classes])
-    fp = np.array([np.sum((y_true != c) & (y_pred == c)) for c in classes])
-    fn = np.array([np.sum((y_true == c) & (y_pred != c)) for c in classes])
-    support = tp + fn
+    tp = np.bincount(y_true[y_true == y_pred], minlength=n_classes)
+    predicted = np.bincount(y_pred, minlength=n_classes)
+    support = np.bincount(y_true, minlength=n_classes)
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        prec = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
+        prec = np.where(predicted > 0, tp / np.maximum(predicted, 1), 0.0)
         rec = np.where(support > 0, tp / np.maximum(support, 1), 0.0)
         f1 = np.where(prec + rec > 0, 2 * prec * rec / np.maximum(prec + rec, 1e-300), 0.0)
 
@@ -93,13 +93,6 @@ def evaluate_metrics(y_true, y_pred, n_classes: int | None = None) -> MetricBund
         precision=float((weights * prec).sum()),
         recall=float((weights * rec).sum()),
         f1=float((weights * f1).sum()),
-        support=support,
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        per_class_precision=prec,
-        per_class_recall=rec,
-        per_class_f1=f1,
     )
 
 

@@ -340,7 +340,10 @@ def _set_up(cfg: HarnessConfig, out_dir) -> tuple[Path, Dataset, GainRatioMatrix
     """Create the output directory, then build the dataset and its
     gain-ratio matrix. Returns (directory, dataset, matrix, cache status)."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     dataset = build_dataset(cfg)
     omega, cache_status = obtain_omega(dataset, cfg.omega_cache)
     return out_dir, dataset, omega, cache_status
@@ -436,8 +439,11 @@ def cmd_omega_dump(cfg: HarnessConfig, out_path) -> str:
     dataset = build_dataset(cfg)
     omega = build_omega(dataset)
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     digest = dataset.digest()
-    save_omega(out_path, omega, digest)
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        save_omega(out_path, omega, digest)
+    except OSError as exc:
+        raise ConfigError(f"cannot write omega dump {out_path}: {exc}") from exc
     log.info("omega dumped to %s (key=%s)", out_path, digest[:12])
     return digest

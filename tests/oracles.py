@@ -12,6 +12,7 @@ import math
 from collections import Counter
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from chainga.criterion import _NEAR_TIE, score
 
@@ -188,3 +189,34 @@ def random_omega(rng, d):
     ff = rng.uniform(0.0, 1.0, size=(d, d))
     np.fill_diagonal(ff, 0.0)
     return GainRatioMatrix(fc, ff)
+
+
+def argsort_knn_predict(train_X, train_y, query_X, k):
+    """The predecessor of ``knn_predict``: a stable argsort of every row of
+    the distance matrix, then ``np.add.at`` votes and ``np.minimum.at``
+    first ranks."""
+    if train_X.shape[0] == 0:
+        raise ValueError("empty training set")
+    if train_X.ndim != 2 or train_X.shape[1] == 0:
+        raise ValueError("training matrix must select at least one feature")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+    k = min(k, train_X.shape[0])
+    dists = cdist(query_X, train_X)
+    # stable argsort keeps lower training-row index first on equal distance
+    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    labels = train_y[order]  # (n_query, k) in distance order
+
+    n_query = labels.shape[0]
+    n_classes = int(train_y.max()) + 1
+    rows = np.repeat(np.arange(n_query), k)
+    cols = labels.ravel()
+    votes = np.zeros((n_query, n_classes), dtype=np.int64)
+    np.add.at(votes, (rows, cols), 1)
+    first_rank = np.full((n_query, n_classes), k, dtype=np.int64)
+    np.minimum.at(first_rank, (rows, cols), np.tile(np.arange(k), n_query))
+
+    tied = votes == votes.max(axis=1, keepdims=True)
+    rank_among_tied = np.where(tied, first_rank, k + 1)
+    return np.argmin(rank_among_tied, axis=1)

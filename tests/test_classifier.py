@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chainga.classifier import (
     FitnessEvaluator,
+    _nearest,
     combine_fitness,
     evaluate_metrics,
     knn_predict,
 )
+from oracles import argsort_knn_predict
 
 
 def test_knn_zero_distance_k1():
@@ -68,6 +72,54 @@ def test_knn_deterministic():
     assert np.array_equal(first, second)
 
 
+def grid_rows(n, d):
+    """n rows of d coordinates from {0, 0.5, 1}: distances tie often."""
+    cells = st.lists(st.sampled_from((0.0, 0.5, 1.0)), min_size=n * d, max_size=n * d)
+    return cells.map(lambda values: np.array(values).reshape(n, d))
+
+
+@st.composite
+def knn_cases(draw):
+    n_train = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    train = draw(grid_rows(n_train, d))
+    # duplicate training rows, and queries that equal training rows
+    train = np.concatenate([train, train[draw(st.lists(st.integers(0, n_train - 1), max_size=4))]])
+    queries = np.concatenate([
+        draw(grid_rows(draw(st.integers(0, 4)), d)),
+        train[draw(st.lists(st.integers(0, len(train) - 1), min_size=1, max_size=4))],
+    ])
+    # some classes below the largest label may be absent
+    present = sorted(draw(st.sets(st.integers(0, 4), min_size=1)))
+    labels = np.array(draw(st.lists(st.sampled_from(present), min_size=len(train), max_size=len(train))))
+    k = draw(st.integers(1, len(train) + 2))
+    return train, labels, queries, k
+
+
+@given(knn_cases())
+@example((np.array([[0.5, 1.0]]), np.array([3]), np.array([[0.0, 0.5]]), 1))
+@example((np.array([[0.0], [1.0], [0.5], [0.5]]), np.array([0, 3, 3, 0]), np.array([[0.5]]), 4))
+def test_knn_matches_argsort_predecessor(case):
+    train, labels, queries, k = case
+    expected = argsort_knn_predict(train, labels, queries, k)
+    assert np.array_equal(knn_predict(train, labels, queries, k), expected)
+
+
+@st.composite
+def tie_heavy_distances(draw):
+    n_query, n_train = draw(st.integers(1, 6)), draw(st.integers(1, 15))
+    values = st.lists(st.integers(0, 3), min_size=n_query * n_train, max_size=n_query * n_train)
+    dists = np.array(draw(values), dtype=float).reshape(n_query, n_train)
+    return dists, draw(st.integers(1, n_train + 2))
+
+
+@given(tie_heavy_distances())
+def test_nearest_is_the_stable_argsort_prefix(case):
+    dists, k = case
+    expected = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(_nearest(dists, k), expected)
+
+
 def test_metrics_perfect_prediction():
     y = np.array([0, 1, 2, 1, 0])
     m = evaluate_metrics(y, y)
@@ -76,10 +128,11 @@ def test_metrics_perfect_prediction():
 
 def test_metrics_binary_hand_case():
     m = evaluate_metrics([1, 1, 0, 0], [1, 0, 0, 0])
+    # class 0: precision 2/3, recall 1, F1 4/5; class 1: 1, 1/2, 2/3; equal support
     assert m.accuracy == 0.75
-    assert m.per_class_precision[1] == 1.0
-    assert m.per_class_recall[1] == 0.5
-    assert m.per_class_f1[1] == pytest.approx(2 / 3, abs=1e-12)
+    assert m.precision == pytest.approx(5 / 6, abs=1e-12)
+    assert m.recall == pytest.approx(3 / 4, abs=1e-12)
+    assert m.f1 == pytest.approx(11 / 15, abs=1e-12)
 
 
 def test_metrics_single_class_predictions_on_balanced_truth():

@@ -172,6 +172,25 @@ def test_cli_unusable_omega_cache_is_config_error(tmp_path, capsys, cache):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_cli_run_out_on_an_existing_file_is_config_error(tmp_path, capsys):
+    config_path = write_configs(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(out) in err and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_cli_omega_dump_out_on_an_existing_directory_is_config_error(tmp_path, capsys):
+    config_path = write_configs(tmp_path)
+    out = tmp_path / "dump"
+    out.mkdir()
+    assert cli.main(["omega-dump", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(out) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "extra, flags, error",
     [
