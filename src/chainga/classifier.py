@@ -27,11 +27,10 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
     dists = cdist(query_X, train_X)
     labels = train_y[_nearest(dists, k)]  # (n_query, k) in distance order
 
-    n_query = labels.shape[0]
     n_classes = int(train_y.max()) + 1
-    rows = np.arange(n_query)[:, None]
-    votes = np.bincount((rows * n_classes + labels).ravel(), minlength=n_query * n_classes)
-    votes = votes.reshape(n_query, n_classes)
+    rows = np.arange(len(labels))[:, None]
+    votes = np.bincount((rows * n_classes + labels).ravel(), minlength=rows.size * n_classes)
+    votes = votes.reshape(rows.size, n_classes)
     # the first rank holding a top-voted class holds the tied class whose
     # nearest member ranks first
     top = votes[rows, labels] == votes.max(axis=1, keepdims=True)
@@ -42,8 +41,7 @@ def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's k smallest entries, ordered by (value,
     column): the first k columns of a stable argsort, without sorting rows."""
     n_query, n_train = dists.shape
-    if k >= n_train:
-        return np.argsort(dists, axis=1, kind="stable")
+    k = min(k, n_train)
     kth = np.partition(dists, k - 1, axis=1)[:, [k - 1]]
     # every entry <= the k-th value is a candidate; columns ascend within a row
     rows, cols = np.nonzero(dists <= kth)

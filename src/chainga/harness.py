@@ -436,12 +436,15 @@ def cmd_sensitivity(cfg: HarnessConfig, parameter: str, values: list[int], out_d
 
 def cmd_omega_dump(cfg: HarnessConfig, out_path) -> str:
     """Precompute the gain-ratio matrix and dump it keyed by dataset digest."""
-    dataset = build_dataset(cfg)
-    omega = build_omega(dataset)
     out_path = Path(out_path)
-    digest = dataset.digest()
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write omega dump {out_path}: {exc}") from exc
+    dataset = build_dataset(cfg)
+    omega = build_omega(dataset)
+    digest = dataset.digest()
+    try:
         save_omega(out_path, omega, digest)
     except OSError as exc:
         raise ConfigError(f"cannot write omega dump {out_path}: {exc}") from exc

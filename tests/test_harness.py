@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from chainga import cli
+from chainga import cli, harness
 from chainga.harness import (
     ConfigError,
     aggregate_rows,
@@ -186,6 +186,19 @@ def test_cli_omega_dump_out_on_an_existing_directory_is_config_error(tmp_path, c
     config_path = write_configs(tmp_path)
     out = tmp_path / "dump"
     out.mkdir()
+    assert cli.main(["omega-dump", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(out) in err and "Traceback" not in err
+
+
+def test_cli_omega_dump_out_under_a_file_fails_before_building(tmp_path, capsys, monkeypatch):
+    config_path = write_configs(tmp_path)
+    out = tmp_path / "run.yaml" / "omega.bin"
+
+    def must_not_build(cfg):
+        raise AssertionError("the dataset was built before the output path was checked")
+
+    monkeypatch.setattr(harness, "build_dataset", must_not_build)
     assert cli.main(["omega-dump", "--config", str(config_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err and str(out) in err and "Traceback" not in err
