@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,34 +104,10 @@ class FitnessRecord:
     fitness: float
     acc: float
     n_selected: int
-    mask_key: bytes
 
 
 def mask_key(mask: np.ndarray) -> bytes:
     return np.packbits(np.asarray(mask, dtype=bool)).tobytes()
-
-
-class FitnessCache:
-    """Mask-keyed fitness memo safe for concurrent lookups and inserts."""
-
-    def __init__(self):
-        self._data: dict[bytes, FitnessRecord] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: bytes) -> FitnessRecord | None:
-        with self._lock:
-            record = self._data.get(key)
-            if record is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return record
-
-    def put(self, key: bytes, record: FitnessRecord) -> None:
-        with self._lock:
-            self._data[key] = record
 
 
 @dataclass
@@ -145,7 +121,7 @@ class FitnessEvaluator:
     dataset: Dataset
     alpha: float = 0.01
     k: int = 5
-    cache: FitnessCache = field(default_factory=FitnessCache)
+    cache: dict[bytes, FitnessRecord] = field(default_factory=dict)
 
     def __post_init__(self):
         ds = self.dataset
@@ -163,18 +139,24 @@ class FitnessEvaluator:
         n_selected = int(mask.sum())
         if n_selected == 0:
             # sentinel: never wins a comparison against a real subset
-            record = FitnessRecord(0.0, 0.0, 0, key)
+            record = FitnessRecord(0.0, 0.0, 0)
         else:
             pred = knn_predict(self._train_X[:, mask], self._train_y, self._val_X[:, mask], self.k)
             acc = float(np.mean(pred == self._val_y))
             record = FitnessRecord(
-                combine_fitness(acc, n_selected, self.dataset.d, self.alpha),
-                acc,
-                n_selected,
-                key,
+                combine_fitness(acc, n_selected, self.dataset.d, self.alpha), acc, n_selected
             )
-        self.cache.put(key, record)
+        self.cache[key] = record
         return record
+
+    def evaluate_many(self, masks: list[np.ndarray], pool: Executor | None = None) -> list[FitnessRecord]:
+        """``evaluate`` each mask in order. A pool first scores the batch's
+        distinct uncached masks, one task each, so no mask runs KNN twice
+        and the cache ends the same whatever the pool's size."""
+        if pool is not None:
+            distinct = {mask_key(m): m for m in masks}
+            list(pool.map(self.evaluate, [m for key, m in distinct.items() if key not in self.cache]))
+        return [self.evaluate(m) for m in masks]
 
     def test_metrics(self, mask: np.ndarray) -> MetricBundle:
         """Final report: retrain on the training partition and score the

@@ -27,7 +27,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="output directory (file for omega-dump)")
     sub.add_argument("--seeds", type=int, nargs="+", help="override the seed battery")
     sub.add_argument("--subsample", type=int, help="stratified row cap for large datasets")
-    sub.add_argument("--threads", type=int, help="worker threads per run")
+    sub.add_argument("--threads", type=int,
+                     help="threads that score each batch's new masks; results and counters do not depend on it")
     sub.add_argument("--bins", type=int, help="discretization bin count")
     sub.add_argument("--pm", type=float, help="mutation probability")
     sub.add_argument("--alpha", type=float, help="fitness trade-off coefficient")

@@ -304,7 +304,7 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
             if numeric:
                 idx = np.floor((values - lo) / (span / bins)).astype(np.int64)
                 X_disc[:, j] = np.clip(idx, 0, bins - 1)
-        # constant training column: both views stay 0
+        # constant training column: X_cont stays 0, and X_disc too if numeric
 
     return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names, bins)
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -101,7 +103,6 @@ class RunResult:
     metrics: MetricBundle
     feature_ratio: float
     trace: list[TraceRow]
-    global_best_curve: list[float]
     wall_time_s: float
     n_classifier_evals: int
     seed: int
@@ -131,47 +132,6 @@ def init_population(
             chain.append(Chromosome(_repair(genes, rng)))
         subpops.append(chain)
     return subpops
-
-
-def chain_crossover_step(
-    subpop: list[Chromosome],
-    j: int,
-    omega: GainRatioMatrix,
-    config: EvolutionConfig,
-    rng: np.random.Generator,
-    evaluate,
-) -> Chromosome:
-    """Cross position j with its chain successor and keep the best of three.
-
-    Both children at the chosen cut are formed; fitness ties keep the
-    incumbent, then prefer child A. The updated chromosome is written back
-    to the chain and returned.
-    """
-    size = len(subpop)
-    d = omega.d
-    partner_idx = (j + 1) % size
-    if partner_idx == j or d < 2:
-        return subpop[j]
-
-    incumbent = subpop[j]
-    partner = subpop[partner_idx]
-    if config.diversity_crossover:
-        k, _ = sweep_crossover(incumbent.genes, partner.genes, omega)
-    else:
-        k = int(rng.integers(1, d))
-
-    genes_a = _repair(np.concatenate([incumbent.genes[:k], partner.genes[k:]]), rng)
-    genes_b = _repair(np.concatenate([partner.genes[:k], incumbent.genes[k:]]), rng)
-    child_a = Chromosome(genes_a, evaluate(genes_a))
-    child_b = Chromosome(genes_b, evaluate(genes_b))
-
-    best = incumbent
-    if child_a.fitness.fitness > best.fitness.fitness:
-        best = child_a
-    if child_b.fitness.fitness > best.fitness.fitness:
-        best = child_b
-    subpop[j] = best
-    return best
 
 
 def mutation_step(
@@ -225,50 +185,74 @@ def migrate_elites(subpops: list[list[Chromosome]], s: int) -> None:
             subpops[receiver][slot] = Chromosome(elite.genes, elite.fitness)
 
 
-class _BestTracker:
-    """Order-independent archive of the best (record, genes) seen."""
-
-    def __init__(self):
-        self.best: Chromosome | None = None
-
-    def offer(self, genes: np.ndarray, record: FitnessRecord) -> None:
-        if self.best is None or record.fitness > self.best.fitness.fitness:
-            self.best = Chromosome(genes, record)
-
-    def merge(self, other: "_BestTracker") -> None:
-        if other.best is not None:
-            self.offer(other.best.genes, other.best.fitness)
+def _first_best(chromosomes: list[Chromosome]) -> Chromosome:
+    """The first chromosome of top fitness: earlier ones win ties."""
+    return max(chromosomes, key=lambda ch: ch.fitness.fitness)
 
 
-def _evolve_subpop(
-    subpop: list[Chromosome],
-    subpop_idx: int,
+def _crossover(
+    subpops: list[list[Chromosome]],
+    steps: list[tuple[int, int]],
+    omega: GainRatioMatrix,
+    config: EvolutionConfig,
+    rngs: list[np.random.Generator],
+    evaluate_many,
+) -> list[list[Chromosome]]:
+    """Chain steps (subpop i, slot j): cross slot j with slot j+1 (ring
+    closed), score every child in one batch, then keep the best of
+    {incumbent, child A, child B} in slot j; fitness ties keep the
+    incumbent, then prefer child A. Every slot is read before any is
+    written. Returns each step's two children."""
+    masks = []
+    for i, j in steps:
+        subpop, rng = subpops[i], rngs[i]
+        a, b = subpop[j].genes, subpop[(j + 1) % len(subpop)].genes
+        if config.diversity_crossover:
+            k, _ = sweep_crossover(a, b, omega)
+        else:
+            k = int(rng.integers(1, omega.d))
+        masks.append(_repair(np.concatenate([a[:k], b[k:]]), rng))
+        masks.append(_repair(np.concatenate([b[:k], a[k:]]), rng))
+    children = [Chromosome(genes, record) for genes, record in zip(masks, evaluate_many(masks))]
+    pairs = [children[t : t + 2] for t in range(0, len(children), 2)]
+    for (i, j), pair in zip(steps, pairs):
+        subpops[i][j] = _first_best([subpops[i][j], *pair])
+    return pairs
+
+
+def _generation(
+    subpops: list[list[Chromosome]],
     generation: int,
     omega: GainRatioMatrix,
     config: EvolutionConfig,
-    evaluator: FitnessEvaluator,
-) -> _BestTracker:
-    """One generation of chain crossover plus mutation for one subpopulation.
+    evaluate_many,
+) -> list[Chromosome]:
+    """One generation of every subpopulation, in three batches: the chain
+    steps 0..size-2 (they read only the original slots j and j+1), the
+    ring closures (they read step 0's winner), then the mutants.
 
-    Owns its chromosomes exclusively; the RNG stream is derived from
-    (seed, generation, subpop index) so serial and threaded execution agree.
+    Each subpopulation draws from its own stream, keyed by (seed,
+    generation, subpop index), in the order of a serial walk of its
+    chain; the draws depend on genes only, never on fitness. Returns
+    every chromosome evaluated, in serial chain order: per subpopulation,
+    its children and then its mutants.
     """
-    rng = _stream(config.seed, 1, generation, subpop_idx)
-    tracker = _BestTracker()
+    rngs = [_stream(config.seed, 1, generation, i) for i in range(len(subpops))]
+    evaluated: list[list[Chromosome]] = [[] for _ in subpops]
+    if omega.d > 1:  # a cut needs two genes; a chain of one has no partner
+        inner = [(i, j) for i, sp in enumerate(subpops) for j in range(len(sp) - 1)]
+        closing = [(i, len(sp) - 1) for i, sp in enumerate(subpops) if len(sp) > 1]
+        for steps in (inner, closing):
+            for (i, _), pair in zip(steps, _crossover(subpops, steps, omega, config, rngs, evaluate_many)):
+                evaluated[i] += pair
 
-    def evaluate(genes: np.ndarray) -> FitnessRecord:
-        record = evaluator.evaluate(genes)
-        tracker.offer(genes, record)
-        return record
-
-    for j in range(len(subpop)):
-        chain_crossover_step(subpop, j, omega, config, rng, evaluate)
-    for j in range(len(subpop)):
-        subpop[j] = mutation_step(subpop[j], omega, config, rng)
-    for ch in subpop:
-        if ch.fitness is None:
-            ch.fitness = evaluate(ch.genes)
-    return tracker
+    for subpop, rng in zip(subpops, rngs):
+        subpop[:] = [mutation_step(ch, omega, config, rng) for ch in subpop]
+    mutants = [(i, ch) for i, sp in enumerate(subpops) for ch in sp if ch.fitness is None]
+    for (i, ch), record in zip(mutants, evaluate_many([ch.genes for _, ch in mutants])):
+        ch.fitness = record
+        evaluated[i].append(ch)
+    return [ch for chain in evaluated for ch in chain]
 
 
 def run(
@@ -278,56 +262,43 @@ def run(
     threads: int = 1,
 ) -> RunResult:
     """Full evolutionary search: returns the globally best mask, its test
-    metrics, and a per-generation trace."""
+    metrics, and a per-generation trace.
+
+    The global best is the first record of top fitness in serial chain
+    order. With ``threads`` > 1 a pool scores each batch's new masks;
+    results and counters do not depend on it.
+    """
     start = time.perf_counter()
     if omega is None:
         omega = build_omega(dataset)
     evaluator = FitnessEvaluator(dataset, config.alpha, config.knn_k)
 
     subpops = init_population(dataset.d, config, _stream(config.seed, 0))
-    archive = _BestTracker()
-    for subpop in subpops:
-        for ch in subpop:
-            ch.fitness = evaluator.evaluate(ch.genes)
-            archive.offer(ch.genes, ch.fitness)
-
     trace: list[TraceRow] = []
-    curve: list[float] = []
-    for gen in range(1, config.generations + 1):
-        if threads > 1 and len(subpops) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_evolve_subpop, sp, i, gen, omega, config, evaluator)
-                    for i, sp in enumerate(subpops)
-                ]
-                trackers = [f.result() for f in futures]
-        else:
-            trackers = [
-                _evolve_subpop(sp, i, gen, omega, config, evaluator)
-                for i, sp in enumerate(subpops)
-            ]
-        for tracker in trackers:  # merge in subpop order: deterministic
-            archive.merge(tracker)
-
-        if config.elite_interaction:
-            migrate_elites(subpops, config.elites)
-
-        curve.append(archive.best.fitness.fitness)
-        for i, subpop in enumerate(subpops):
-            values = [ch.fitness.fitness for ch in subpop]
-            top = int(np.argmax(values))
-            trace.append(
-                TraceRow(
-                    generation=gen,
-                    subpop=i,
-                    size=len(subpop),
-                    best_fitness=max(values),
-                    mean_fitness=float(np.mean(values)),
-                    best_n_selected=subpop[top].n_selected,
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        evaluate_many = partial(evaluator.evaluate_many, pool=pool)
+        population = [ch for subpop in subpops for ch in subpop]
+        for ch, record in zip(population, evaluate_many([ch.genes for ch in population])):
+            ch.fitness = record
+        best = _first_best(population)
+        for gen in range(1, config.generations + 1):
+            best = _first_best([best, *_generation(subpops, gen, omega, config, evaluate_many)])
+            if config.elite_interaction:
+                migrate_elites(subpops, config.elites)
+            for i, subpop in enumerate(subpops):
+                values = [ch.fitness.fitness for ch in subpop]
+                top = int(np.argmax(values))
+                trace.append(
+                    TraceRow(
+                        generation=gen,
+                        subpop=i,
+                        size=len(subpop),
+                        best_fitness=max(values),
+                        mean_fitness=float(np.mean(values)),
+                        best_n_selected=subpop[top].n_selected,
+                    )
                 )
-            )
 
-    best = archive.best
     metrics = evaluator.test_metrics(best.genes)
     return RunResult(
         best_mask=best.genes,
@@ -335,8 +306,7 @@ def run(
         metrics=metrics,
         feature_ratio=best.n_selected / dataset.d,
         trace=trace,
-        global_best_curve=curve,
         wall_time_s=time.perf_counter() - start,
-        n_classifier_evals=evaluator.cache.misses,
+        n_classifier_evals=len(evaluator.cache),
         seed=config.seed,
     )

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (Counter-based entropies, double
 loops, per-candidate enumeration) or is the loop-based predecessor of an
 optimised kernel. Nothing shares code with the package beyond ``score``
-and its near-tie tolerance.
+and its near-tie tolerance, except ``serial_generation``, which replays
+the GA's own operators one chain step at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from collections import Counter
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from chainga.criterion import _NEAR_TIE, score
+from chainga.criterion import _NEAR_TIE, score, sweep_crossover
+from chainga.evolution import Chromosome, _repair, _stream, mutation_step
 
 
 def ref_entropy(values) -> float:
@@ -220,3 +222,48 @@ def argsort_knn_predict(train_X, train_y, query_X, k):
     tied = votes == votes.max(axis=1, keepdims=True)
     rank_among_tied = np.where(tied, first_rank, k + 1)
     return np.argmin(rank_among_tied, axis=1)
+
+
+def _serial_chain_step(subpop, j, omega, config, rng, evaluate, evaluated):
+    """Cross position j with its chain successor and keep the best of three
+    (ties keep the incumbent, then child A), written back at once."""
+    size = len(subpop)
+    partner_idx = (j + 1) % size
+    if partner_idx == j or omega.d < 2:
+        return
+    incumbent, partner = subpop[j], subpop[partner_idx]
+    if config.diversity_crossover:
+        k, _ = sweep_crossover(incumbent.genes, partner.genes, omega)
+    else:
+        k = int(rng.integers(1, omega.d))
+    genes_a = _repair(np.concatenate([incumbent.genes[:k], partner.genes[k:]]), rng)
+    genes_b = _repair(np.concatenate([partner.genes[:k], incumbent.genes[k:]]), rng)
+    child_a = Chromosome(genes_a, evaluate(genes_a))
+    child_b = Chromosome(genes_b, evaluate(genes_b))
+    evaluated += [child_a, child_b]
+    best = incumbent
+    if child_a.fitness.fitness > best.fitness.fitness:
+        best = child_a
+    if child_b.fitness.fitness > best.fitness.fitness:
+        best = child_b
+    subpop[j] = best
+
+
+def serial_generation(subpops, generation, omega, config, evaluate):
+    """The predecessor of ``evolution._generation``: each subpopulation in
+    turn walks its chain one crossover step at a time (each step sees the
+    slots the earlier steps wrote), then mutates, then scores its mutants,
+    one ``evaluate`` call per mask. Returns every chromosome evaluated, in
+    that order."""
+    evaluated = []
+    for i, subpop in enumerate(subpops):
+        rng = _stream(config.seed, 1, generation, i)
+        for j in range(len(subpop)):
+            _serial_chain_step(subpop, j, omega, config, rng, evaluate, evaluated)
+        for j in range(len(subpop)):
+            subpop[j] = mutation_step(subpop[j], omega, config, rng)
+        for ch in subpop:
+            if ch.fitness is None:
+                ch.fitness = evaluate(ch.genes)
+                evaluated.append(ch)
+    return evaluated

@@ -1,6 +1,12 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from chainga import classifier
 from chainga.classifier import (
     FitnessEvaluator,
     combine_fitness,
@@ -144,15 +150,68 @@ def test_evaluator_cache_transparency(small_dataset):
     assert fresh == cached == other
 
 
-def test_evaluator_cache_skips_classifier(small_dataset):
+@pytest.fixture
+def knn_calls(monkeypatch) -> list:
+    """The feature count of every KNN run, recorded from outside the library."""
+    calls = []
+    predict = classifier.knn_predict
+
+    def recording(train_X, train_y, query_X, k):
+        calls.append(train_X.shape[1])
+        return predict(train_X, train_y, query_X, k)
+
+    monkeypatch.setattr(classifier, "knn_predict", recording)
+    return calls
+
+
+def test_evaluator_cache_skips_classifier(small_dataset, knn_calls):
     evaluator = FitnessEvaluator(small_dataset)
     mask = np.ones(small_dataset.d, dtype=bool)
-    evaluator.evaluate(mask)
-    assert evaluator.cache.misses == 1
+    first = evaluator.evaluate(mask)
+    assert len(knn_calls) == 1
     for _ in range(5):
-        evaluator.evaluate(mask)
-    assert evaluator.cache.misses == 1
-    assert evaluator.cache.hits == 5
+        assert evaluator.evaluate(mask) == first
+    assert len(knn_calls) == 1
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_evaluate_many_runs_each_new_mask_once(small_dataset, knn_calls, threads):
+    masks = [np.zeros(small_dataset.d, dtype=bool) for _ in range(4)]
+    for mask, features in zip(masks, ([0, 2], [1], [0, 2, 5], [3])):
+        mask[features] = True
+    evaluator = FitnessEvaluator(small_dataset)
+    evaluator.evaluate(masks[3])  # cached before the batch
+    batch = [masks[0], masks[1], masks[0], masks[2], masks[3], masks[1]]
+    with ThreadPoolExecutor(threads) if threads else nullcontext() as pool:
+        records = evaluator.evaluate_many(batch, pool)
+    assert sorted(knn_calls) == [1, 1, 2, 3]  # masks[3] once, then each new mask once
+    fresh = FitnessEvaluator(small_dataset)
+    assert records == [fresh.evaluate(m) for m in batch]
+    assert len(evaluator.cache) == 4
+
+
+def test_evaluate_many_pool_stress(small_dataset, knn_calls):
+    # more threads than cores and a short switch interval, so the pool's
+    # threads interleave inside evaluate: a lost or doubled cache write
+    # shows as a wrong cache size or an extra KNN run
+    rng = np.random.default_rng(0)
+    masks = list({tuple(row): row for row in rng.random((60, small_dataset.d)) < 0.5 if row.any()}.values())
+    shuffled = list(rng.permutation(masks * 2))  # every mask twice
+    batches = [shuffled[t::4] for t in range(4)]
+    evaluator = FitnessEvaluator(small_dataset)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            worker = threading.Thread(
+                target=lambda: [evaluator.evaluate_many(batch, pool) for batch in batches]
+            )
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(knn_calls) == len(evaluator.cache) == len(masks)
 
 
 def test_evaluator_empty_mask_sentinel(small_dataset):

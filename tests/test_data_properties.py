@@ -1,4 +1,9 @@
-"""Property tests for the stratified row cap."""
+"""Property tests for the stratified row cap and for CSV loading and
+preparation."""
+
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainga.data import DataError, RawTable, subsample_raw
+from chainga.data import MISSING_TOKENS, TEST, TRAIN, VAL, DataError, RawTable, load_csv, prepare, subsample_raw
 
 
 @st.composite
@@ -44,3 +49,67 @@ def test_subsample_cap_below_class_count_is_data_error(case, data):
     cap = data.draw(st.integers(1, n_classes - 1))
     with pytest.raises(DataError):
         subsample_raw(table, cap, seed=0)
+
+
+# cells of each column kind; every kind may also hold missing tokens
+CELLS = {
+    "numeric": ["0", "1", "1", "2.5", "-3e2"],
+    "constant": ["7"],
+    "categorical": ["a", "b", "b", "c"],
+    "constant-categorical": ["k"],
+}
+MISSING = ["", "?", "NA", "n/a", "NaN", "null", " ? "]
+
+
+@st.composite
+def csv_tables(draw):
+    """Header, rows (lists of cells) and kinds of a small CSV: two to four
+    classes of one to eight rows each, and one to four feature columns."""
+    counts = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4))
+    labels = draw(st.permutations([f"c{i}" for i, c in enumerate(counts) for _ in range(c)]))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        cells = draw(st.lists(st.sampled_from(CELLS[kind] + MISSING), min_size=len(labels), max_size=len(labels)))
+        # one present cell at least: a column of only missing tokens has no type
+        cells[draw(st.integers(0, len(labels) - 1))] = draw(st.sampled_from(CELLS[kind]))
+        columns.append(cells)
+    header = [f"f{j}" for j in range(len(kinds))] + ["class"]
+    return header, [list(row) for row in zip(*columns, labels)], kinds
+
+
+@given(csv_tables(), st.integers(2, 6), st.integers(0, 3))
+def test_load_csv_and_prepare_properties(table, bins, split_seed):
+    header, rows, kinds = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n", encoding="utf-8")
+        raw = load_csv(path, "class")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the small-class fallback warns
+        ds = prepare(raw, bins=bins, split_seed=split_seed)
+
+    missing = {name: sum(r[j].strip().lower() in MISSING_TOKENS for r in rows)
+               for j, name in enumerate(header[:-1])}
+    assert raw.imputed == {name: count for name, count in missing.items() if count}
+    for numeric, column in zip(raw.is_numeric, raw.columns):
+        assert not numeric or np.isfinite(column).all()
+    assert np.isfinite(ds.X_cont).all()
+    assert ((ds.X_cont >= 0) & (ds.X_cont <= 1)).all()
+
+    train = ds.split == TRAIN
+    for j, kind in enumerate(kinds):
+        assert raw.is_numeric[j] == (kind in ("numeric", "constant"))
+        if raw.is_numeric[j]:
+            assert ds.X_disc[:, j].min() >= 0 and ds.X_disc[:, j].max() <= bins - 1
+        values = raw.columns[j]
+        # a categorical column keeps its category codes in the discrete view,
+        # so only one that is constant over the whole table is all zero there
+        constant = len(set(values[train])) == 1 and (raw.is_numeric[j] or len(set(values)) == 1)
+        if constant:
+            assert not ds.X_cont[:, j].any() and not ds.X_disc[:, j].any()
+
+    for c in range(ds.n_classes):
+        parts = set(ds.split[ds.y == c].tolist())
+        if np.count_nonzero(ds.y == c) >= 3:
+            assert parts == {TRAIN, VAL, TEST}

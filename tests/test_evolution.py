@@ -1,14 +1,16 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from chainga import evolution
-from chainga.classifier import FitnessEvaluator, FitnessRecord, mask_key
+from chainga.classifier import FitnessEvaluator, FitnessRecord
 from chainga.data import SyntheticSpec, generate_synthetic
 from chainga.evolution import (
     Chromosome,
     EvolutionConfig,
+    _generation,
     _stream,
-    chain_crossover_step,
     init_population,
     migrate_elites,
     mutation_step,
@@ -22,15 +24,28 @@ def _chrom(bits, fitness=None):
     genes = np.array(bits, dtype=bool)
     if fitness is None:
         return Chromosome(genes)
-    return Chromosome(genes, FitnessRecord(fitness, fitness, int(genes.sum()), mask_key(genes)))
+    return Chromosome(genes, FitnessRecord(fitness, fitness, int(genes.sum())))
 
 
-def _stub_evaluate(table):
-    def evaluate(genes):
-        value = table[tuple(int(b) for b in genes)]
-        return FitnessRecord(value, value, int(np.sum(genes)), mask_key(genes))
+def _record(table, genes):
+    key = tuple(int(b) for b in genes)
+    return FitnessRecord(table[key], table[key], sum(key))
 
-    return evaluate
+
+def _stub_evaluate_many(table, batches=None):
+    """Scores each mask from ``table`` (bit tuple -> fitness); an unlisted
+    mask is a KeyError. Appends each batch, as bit tuples, to ``batches``."""
+
+    def evaluate_many(masks):
+        if batches is not None:
+            batches.append([tuple(int(b) for b in m) for m in masks])
+        return [_record(table, m) for m in masks]
+
+    return evaluate_many
+
+
+# one chain of two, crossover only: a generation is step 0, then the closure
+_CROSSOVER_ONLY = EvolutionConfig(population_size=2, subpopulations=1, elites=0, mutation_prob=0.0)
 
 
 @pytest.fixture
@@ -89,90 +104,72 @@ def test_init_population_repairs_empty_masks():
 
 
 def test_chain_crossover_identical_parents_keeps_incumbent(flat_omega):
-    table = {k: 0.5 for k in [(1, 0, 1, 0), (0, 0, 0, 0)]}
+    table = {(1, 0, 1, 0): 0.5}
     incumbent = _chrom([1, 0, 1, 0], 0.5)
     partner = _chrom([1, 0, 1, 0], 0.5)
-    subpop = [incumbent, partner]
-    cfg = EvolutionConfig(population_size=4, subpopulations=1, elites=0)
-    out = chain_crossover_step(subpop, 0, flat_omega, cfg, _stream(0, 9), _stub_evaluate(table))
-    assert out is incumbent
+    subpops = [[incumbent, partner]]
+    _generation(subpops, 1, flat_omega, _CROSSOVER_ONLY, _stub_evaluate_many(table))
+    assert subpops[0][0] is incumbent
+    assert subpops[0][1] is partner
 
 
 def test_chain_crossover_incumbent_dominates(flat_omega):
-    # parents differ only at gene 0: the children are exactly the parents
+    # parents differ only at gene 0: the children are exactly the parents,
+    # so step 0 offers a child as fit as the incumbent and one less fit
     table = {(1, 0, 0, 1): 0.9, (0, 0, 0, 1): 0.2}
     incumbent = _chrom([1, 0, 0, 1], 0.9)
     partner = _chrom([0, 0, 0, 1], 0.2)
-    subpop = [incumbent, partner]
-    cfg = EvolutionConfig(population_size=4, subpopulations=1, elites=0)
-    out = chain_crossover_step(subpop, 0, flat_omega, cfg, _stream(0, 9), _stub_evaluate(table))
-    assert out is incumbent
+    subpops = [[incumbent, partner]]
+    batches = []
+    _generation(subpops, 1, flat_omega, _CROSSOVER_ONLY, _stub_evaluate_many(table, batches))
+    assert sorted(batches[0]) == [(0, 0, 0, 1), (1, 0, 0, 1)]
+    assert subpops[0][0] is incumbent
 
 
-def test_chain_crossover_improving_child_replaces():
-    # feature 0 is a perfect predictor; the partner donates it to the child
-    rng = np.random.default_rng(0)
-    n = 40
-    y = np.tile([0, 1], n // 2)
-    cols = [y.astype(float), rng.random(n), rng.random(n), rng.random(n)]
-    from chainga.data import RawTable, prepare
-
-    raw = RawTable(
-        ["f0", "f1", "f2", "f3", "class"],
-        cols + [np.array([str(v) for v in y], dtype=object)],
-        [True] * 4 + [False],
-        "class",
-    )
-    ds = prepare(raw, bins=4, split_seed=0)
-    omega = build_omega(ds)
-    evaluator = FitnessEvaluator(ds, alpha=0.01, k=1)
-
-    incumbent = Chromosome(np.array([0, 0, 0, 1], dtype=bool))
-    partner = Chromosome(np.array([1, 0, 0, 1], dtype=bool))
-    incumbent.fitness = evaluator.evaluate(incumbent.genes)
-    partner.fitness = evaluator.evaluate(partner.genes)
-    expected = sorted(
-        [
-            evaluator.evaluate(incumbent.genes),
-            evaluator.evaluate(partner.genes),
-        ],
-        key=lambda r: r.fitness,
-    )[-1]
-    assert partner.fitness.fitness > incumbent.fitness.fitness  # setup sanity
-
-    subpop = [incumbent, partner]
-    cfg = EvolutionConfig(population_size=4, subpopulations=1, elites=0, knn_k=1)
-    out = chain_crossover_step(subpop, 0, omega, cfg, _stream(0, 9), evaluator.evaluate)
+def test_chain_crossover_improving_child_replaces(flat_omega):
+    # the partner donates gene 0, which lifts the child above the incumbent
+    table = {(0, 0, 0, 1): 0.2, (1, 0, 0, 1): 0.9}
+    incumbent = _chrom([0, 0, 0, 1], 0.2)
+    partner = _chrom([1, 0, 0, 1], 0.9)
+    subpops = [[incumbent, partner]]
+    _generation(subpops, 1, flat_omega, _CROSSOVER_ONLY, _stub_evaluate_many(table))
+    out = subpops[0][0]
+    assert out is not incumbent and out is not partner
     assert np.array_equal(out.genes, partner.genes)
-    assert out.fitness == expected
-    assert subpop[0] is out
+    assert out.fitness == _record(table, partner.genes)
 
 
-def test_chain_crossover_last_position_partners_with_first():
-    # chain of two: position 1 crosses with position 0 (ring closure)
-    omega = GainRatioMatrix(np.array([0.9, 0.1, 0.1, 0.1]), np.zeros((4, 4)))
-    table = {(0, 0, 0, 1): 0.1, (1, 0, 0, 1): 0.8}
-    first = _chrom([1, 0, 0, 1], 0.8)
-    last = _chrom([0, 0, 0, 1], 0.1)
-    subpop = [first, last]
-    cfg = EvolutionConfig(population_size=4, subpopulations=1, elites=0)
-    out = chain_crossover_step(subpop, 1, omega, cfg, _stream(0, 9), _stub_evaluate(table))
-    assert np.array_equal(out.genes, first.genes)
+def test_chain_crossover_last_position_partners_with_first(flat_omega):
+    # J = sum fc / sqrt(|S|) with fc = (.5, .4, .3, .2). Step 0 crosses
+    # 1010 with 0111 at cut 1 (J of 1111 is .7), and child 1111 takes
+    # slot 0. The closure then crosses 0111 with that updated slot 0:
+    # they differ only at gene 0, so its children are 0111 and 1111. With
+    # the original slot 0 they would have been 0010 and 1111.
+    table = {(1, 1, 1, 1): 0.9, (0, 0, 1, 0): 0.0, (0, 1, 1, 1): 0.2}
+    first = _chrom([1, 0, 1, 0], 0.1)
+    last = _chrom([0, 1, 1, 1], 0.2)
+    subpops = [[first, last]]
+    batches = []
+    _generation(subpops, 1, flat_omega, _CROSSOVER_ONLY, _stub_evaluate_many(table, batches))
+    assert batches[0] == [(1, 1, 1, 1), (0, 0, 1, 0)]
+    assert batches[1] == [(0, 1, 1, 1), (1, 1, 1, 1)]
+    assert [ch.genes.tolist() for ch in subpops[0]] == [[True] * 4, [True] * 4]
 
 
 def test_chain_crossover_never_decreases_fitness(small_dataset):
     omega = build_omega(small_dataset)
-    evaluator = FitnessEvaluator(small_dataset)
-    cfg = EvolutionConfig(population_size=6, subpopulations=1, elites=0, seed=5)
-    subpop = init_population(small_dataset.d, cfg, _stream(5, 0))[0]
-    for ch in subpop:
-        ch.fitness = evaluator.evaluate(ch.genes)
-    before = [ch.fitness.fitness for ch in subpop]
-    rng = _stream(5, 1, 1, 0)
-    for j in range(len(subpop)):
-        chain_crossover_step(subpop, j, omega, cfg, rng, evaluator.evaluate)
-    after = [ch.fitness.fitness for ch in subpop]
-    assert all(b >= a for a, b in zip(before, after))
+    rng = np.random.default_rng(5)
+    table = defaultdict(lambda: float(rng.integers(0, 4)) / 4)  # tie-heavy, drawn on first use
+    cfg = EvolutionConfig(population_size=6, subpopulations=1, elites=0, seed=5, mutation_prob=0.0)
+    subpops = init_population(small_dataset.d, cfg, _stream(5, 0))
+    evaluate_many = _stub_evaluate_many(table)
+    for ch, record in zip(subpops[0], evaluate_many([ch.genes for ch in subpops[0]])):
+        ch.fitness = record
+    for gen in range(1, 6):
+        before = [ch.fitness.fitness for ch in subpops[0]]
+        _generation(subpops, gen, omega, cfg, evaluate_many)
+        after = [ch.fitness.fitness for ch in subpops[0]]
+        assert all(b >= a for a, b in zip(before, after))
 
 
 def test_mutation_disabled_is_identity(flat_omega):
@@ -326,9 +323,8 @@ def test_run_population_size_and_monotone_best(small_dataset):
     for gen in range(1, 7):
         sizes = [row.size for row in result.trace if row.generation == gen]
         assert sum(sizes) == 12 and sizes == [4, 4, 4]
-    curve = result.global_best_curve
-    assert all(b >= a for a, b in zip(curve, curve[1:]))
-    assert result.best_fitness.fitness == curve[-1]
+    # the global best is kept even when mutation later loses it
+    assert result.best_fitness.fitness >= max(row.best_fitness for row in result.trace)
 
 
 def test_run_trace_reproducible(small_dataset):
@@ -348,7 +344,7 @@ def test_run_threads_bit_identical(small_dataset):
     assert serial.trace == threaded.trace
     assert np.array_equal(serial.best_mask, threaded.best_mask)
     assert serial.best_fitness == threaded.best_fitness
-    assert serial.global_best_curve == threaded.global_best_curve
+    assert serial.n_classifier_evals == threaded.n_classifier_evals
 
 
 def test_run_all_flags_off_is_single_population_random_ga(small_dataset):
