@@ -110,6 +110,6 @@ def test_load_csv_and_prepare_properties(table, bins, split_seed):
             assert not ds.X_cont[:, j].any() and not ds.X_disc[:, j].any()
 
     for c in range(ds.n_classes):
-        parts = set(ds.split[ds.y == c].tolist())
-        if np.count_nonzero(ds.y == c) >= 3:
-            assert parts == {TRAIN, VAL, TEST}
+        rows = ds.y == c
+        if np.count_nonzero(rows) >= 3:
+            assert set(ds.split[rows].tolist()) == {TRAIN, VAL, TEST}
