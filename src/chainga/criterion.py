@@ -11,30 +11,22 @@ a few numpy passes: every single-bit flip from matrix-vector products,
 every single-point crossover cut (both children) from prefix sums over
 the positions where the parents differ. Candidates within a near-tie of
 the best are then re-scored from scratch, so that results match naive
-enumeration bit for bit.
+enumeration bit for bit; a lone candidate needs no re-score. The sweeps
+return only the chosen cut or site.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrmv
 
 from .infotheory import GainRatioMatrix
 
-# prefix-sum and from-scratch sums agree far below this; used only to
-# collect re-score candidates, never to decide the final argmax
+# prefix-sum and from-scratch sums agree far below this, so the exact best
+# is always among the candidates within it of the approximate best
 _NEAR_TIE = 1e-9
-
-
-@dataclass
-class SubsetScore:
-    j_value: float
-    n_s: int
-    sum_fc: float
-    sum_ff: float
 
 
 def _as_mask(mask, d: int) -> np.ndarray:
@@ -44,16 +36,29 @@ def _as_mask(mask, d: int) -> np.ndarray:
     return m.astype(bool)
 
 
-def score(mask, omega: GainRatioMatrix) -> SubsetScore:
+def score(mask, omega: GainRatioMatrix) -> float:
     """Merit of the masked subset; the empty subset scores 0 by convention."""
-    m = _as_mask(mask, omega.d)
-    idx = np.flatnonzero(m)
-    n_s = len(idx)
-    if n_s == 0:
-        return SubsetScore(0.0, 0, 0.0, 0.0)
+    idx = np.flatnonzero(_as_mask(mask, omega.d))
+    if idx.size == 0:
+        return 0.0
     sum_fc = float(omega.fc[idx].sum())
     sum_ff = float(omega.ff[np.ix_(idx, idx)].sum())  # diagonal is zero
-    return SubsetScore(sum_fc / math.sqrt(n_s + sum_ff), n_s, sum_fc, sum_ff)
+    return sum_fc / math.sqrt(idx.size + sum_ff)
+
+
+def _break_tie(candidates: list[np.ndarray], omega: GainRatioMatrix) -> int:
+    """Index of the first candidate mask with the top exact merit.
+
+    Each distinct mask is scored from scratch once, and only when there are
+    two or more of them; a lone mask wins unscored.
+    """
+    first: dict[bytes, int] = {}
+    for i, c in enumerate(candidates):
+        first.setdefault(c.tobytes(), i)
+    if len(first) == 1:
+        return 0
+    merits = {i: score(candidates[i], omega) for i in first.values()}
+    return max(merits, key=merits.__getitem__)
 
 
 def _crossed_sums(a: np.ndarray, b: np.ndarray, omega: GainRatioMatrix) -> np.ndarray:
@@ -81,12 +86,12 @@ def _crossed_sums(a: np.ndarray, b: np.ndarray, omega: GainRatioMatrix) -> np.nd
     return np.cumsum(np.concatenate([base[..., None], steps[..., diff]], axis=-1), axis=-1)
 
 
-def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> tuple[int, float]:
+def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> int:
     """Best single-point crossover cut for two parents.
 
     The cut k in [1, d-1] splits both parents into prefix a[:k] + suffix
     b[k:] (and vice versa); returns the smallest k maximizing the better
-    child's merit, together with that merit.
+    child's merit.
     """
     d = omega.d
     if d < 2:
@@ -94,7 +99,7 @@ def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> tuple[int, fl
     a = _as_mask(parent_a, d)
     b = _as_mask(parent_b, d)
     if np.array_equal(a, b):
-        return 1, score(a, omega).j_value
+        return 1
 
     n, sum_fc, sum_ff = _crossed_sums(a, b, omega)
     # n_s + sum_ff >= 1 for a non-empty child; the floor only guards empty ones
@@ -105,51 +110,32 @@ def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> tuple[int, fl
     near = approx >= approx.max() - _NEAR_TIE
     cuts = np.flatnonzero(near.any(axis=0))
     _, first = np.unique(crossed[cuts], return_index=True)  # smallest cut per pair of children
-
-    k_star, best_j = 1, -math.inf
-    for i in cuts[first].tolist():
-        k = i + 1
-        children = (np.concatenate([a[:k], b[k:]]), np.concatenate([b[:k], a[k:]]))
-        value = max(score(c, omega).j_value for c, keep in zip(children, near[:, i]) if keep)
-        if value > best_j:
-            k_star, best_j = k, value
-    return k_star, best_j
+    # (cut, row) of each near child in cut order; row 0 is a[:k] + b[k:]
+    picks = [(i + 1, row) for i in cuts[first].tolist() for row in np.flatnonzero(near[:, i]).tolist()]
+    parents = (a, b)
+    children = [np.concatenate([parents[row][:k], parents[1 - row][k:]]) for k, row in picks]
+    return picks[_break_tie(children, omega)][0]
 
 
-def sweep_mutation(mask, omega: GainRatioMatrix) -> tuple[int, float]:
+def sweep_mutation(mask, omega: GainRatioMatrix) -> int:
     """Best single-bit flip for a mask.
 
     Returns the smallest flip index maximizing the flipped mask's merit.
     A flip that would empty the mask is only considered when it is the sole
     candidate (d == 1); otherwise the best non-emptying flip wins.
     """
-    d = omega.d
-    m = _as_mask(mask, d)
-    base = score(m, omega)
-    n = base.n_s
-    if d == 1:
-        flipped = ~m
-        return 0, score(flipped, omega).j_value
-
+    m = _as_mask(mask, omega.d)
     ind = m.astype(np.float64)
-    rowcol = omega.ff @ ind + omega.ff.T @ ind
+    row = omega.ff @ ind
+    n, sum_fc, sum_ff = m.sum(), omega.fc @ ind, ind @ row
+    rowcol = row + omega.ff.T @ ind
     with np.errstate(invalid="ignore", divide="ignore"):
-        j_add = (base.sum_fc + omega.fc) / np.sqrt(n + 1 + base.sum_ff + rowcol)
-        if n > 1:
-            j_rem = (base.sum_fc - omega.fc) / np.sqrt(
-                np.maximum(n - 1 + base.sum_ff - rowcol, 0.0)
-            )
-        else:
-            j_rem = np.zeros(d)
+        j_add = (sum_fc + omega.fc) / np.sqrt(n + 1 + sum_ff + rowcol)
+        j_rem = (sum_fc - omega.fc) / np.sqrt(np.maximum(n - 1 + sum_ff - rowcol, 0.0))
     cand = np.where(m, j_rem, j_add)
     if n == 1:
         cand[m] = -np.inf  # emptying flip excluded while alternatives exist
 
-    r_star, best_j = -1, -math.inf
-    for r in np.flatnonzero(cand >= cand.max() - _NEAR_TIE).tolist():
-        flipped = m.copy()
-        flipped[r] = not flipped[r]
-        value = score(flipped, omega).j_value
-        if value > best_j:
-            r_star, best_j = r, value
-    return r_star, best_j
+    sites = np.flatnonzero(cand >= cand.max() - _NEAR_TIE)
+    flipped = m != (sites[:, None] == np.arange(m.size))  # row t flips site sites[t]
+    return int(sites[_break_tie(list(flipped), omega)])

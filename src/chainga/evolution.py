@@ -14,8 +14,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -55,6 +56,13 @@ class EvolutionConfig:
     diversity_mutation: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, label = {"int": (int, "an integer"), "float": (Real, "a real number"),
+                           "bool": (bool, "true or false")}[f.type]
+            # bool subclasses int: it passes only where a flag is due
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise ValueError(f"{f.name} must be {label}, got {value!r}")
         if self.population_size < 1:
             raise ValueError(f"population size must be >= 1, got {self.population_size}")
         if not 1 <= self.subpopulations <= self.population_size:
@@ -148,7 +156,7 @@ def mutation_step(
         return chromosome
     d = chromosome.genes.size
     if config.diversity_mutation:
-        r, _ = sweep_mutation(chromosome.genes, omega)
+        r = sweep_mutation(chromosome.genes, omega)
     else:
         r = int(rng.integers(0, d))
     genes = chromosome.genes.copy()
@@ -208,7 +216,7 @@ def _crossover(
         subpop, rng = subpops[i], rngs[i]
         a, b = subpop[j].genes, subpop[(j + 1) % len(subpop)].genes
         if config.diversity_crossover:
-            k, _ = sweep_crossover(a, b, omega)
+            k = sweep_crossover(a, b, omega)
         else:
             k = int(rng.integers(1, omega.d))
         masks.append(_repair(np.concatenate([a[:k], b[k:]]), rng))

@@ -143,7 +143,7 @@ def load_run_config(path, **overrides) -> HarnessConfig:
     for seed in cfg.seeds:
         _require_int("seed", seed)
     _require_int("threads", cfg.threads, minimum=1)
-    _require_int("bins", cfg.bins)
+    _require_int("bins", cfg.bins, minimum=2)
     _require_int("split_seed", cfg.split_seed)
     if cfg.subsample is not None:
         _require_int("subsample", cfg.subsample, minimum=1)

@@ -4,7 +4,8 @@ Everything here is deliberately naive (Counter-based entropies, double
 loops, per-candidate enumeration) or is the loop-based predecessor of an
 optimised kernel. Nothing shares code with the package beyond ``score``
 and its near-tie tolerance, except ``serial_generation``, which replays
-the GA's own operators one chain step at a time.
+the GA's own operators one chain step at a time. The sweep oracles return
+(index, merit); the sweeps themselves return only the index.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def ref_subset_merit(selected, fc, ff) -> float:
     return n_s * r_fc / math.sqrt(n_s + n_s * (n_s - 1) * r_ff)
 
 
+def subset_sums(mask, omega) -> tuple[int, float, float]:
+    """(n_s, sum_fc, sum_ff) of the masked subset, summed from scratch in
+    the order ``score`` uses."""
+    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
+    return len(idx), float(omega.fc[idx].sum()), float(omega.ff[np.ix_(idx, idx)].sum())
+
+
 def oracle_crossover(a, b, omega):
     """Exhaustive enumeration of every cut, smallest-k tie-break."""
     a = np.asarray(a, dtype=bool)
@@ -74,7 +82,7 @@ def oracle_crossover(a, b, omega):
     for k in range(1, d):
         child1 = np.concatenate([a[:k], b[k:]])
         child2 = np.concatenate([b[:k], a[k:]])
-        j = max(score(child1, omega).j_value, score(child2, omega).j_value)
+        j = max(score(child1, omega), score(child2, omega))
         if j > best_j:
             best_k, best_j = k, j
     return best_k, best_j
@@ -86,13 +94,10 @@ class _RunningScore:
     __slots__ = ("fc", "ff", "ind", "n", "sum_fc", "sum_ff")
 
     def __init__(self, mask: np.ndarray, omega):
-        base = score(mask, omega)
         self.fc = omega.fc
         self.ff = omega.ff
         self.ind = mask.astype(np.float64)
-        self.n = base.n_s
-        self.sum_fc = base.sum_fc
-        self.sum_ff = base.sum_ff
+        self.n, self.sum_fc, self.sum_ff = subset_sums(mask, omega)
 
     def set_bit(self, t: int, value: bool) -> None:
         if bool(self.ind[t]) == value:
@@ -126,7 +131,7 @@ def loop_sweep_crossover(parent_a, parent_b, omega) -> tuple[int, float]:
     a = np.asarray(parent_a, dtype=bool)
     b = np.asarray(parent_b, dtype=bool)
     if np.array_equal(a, b):
-        return 1, score(a, omega).j_value
+        return 1, score(a, omega)
 
     # child1(k) = a[:k] + b[k:], child2(k) = b[:k] + a[k:]
     child1 = _RunningScore(b, omega)
@@ -152,7 +157,7 @@ def loop_sweep_crossover(parent_a, parent_b, omega) -> tuple[int, float]:
         key = (which, flips[k - 1])
         if key not in exact:
             mask = np.concatenate([a[:k], b[k:]]) if which == 1 else np.concatenate([b[:k], a[k:]])
-            exact[key] = score(mask, omega).j_value
+            exact[key] = score(mask, omega)
         return exact[key]
 
     k_star, best_j = 1, -math.inf
@@ -177,7 +182,7 @@ def oracle_mutation(mask, omega):
         flipped[r] = not flipped[r]
         if d > 1 and not flipped.any():
             continue
-        j = score(flipped, omega).j_value
+        j = score(flipped, omega)
         if j > best_j:
             best_r, best_j = r, j
     return best_r, best_j
@@ -233,7 +238,7 @@ def _serial_chain_step(subpop, j, omega, config, rng, evaluate, evaluated):
         return
     incumbent, partner = subpop[j], subpop[partner_idx]
     if config.diversity_crossover:
-        k, _ = sweep_crossover(incumbent.genes, partner.genes, omega)
+        k = sweep_crossover(incumbent.genes, partner.genes, omega)
     else:
         k = int(rng.integers(1, omega.d))
     genes_a = _repair(np.concatenate([incumbent.genes[:k], partner.genes[k:]]), rng)

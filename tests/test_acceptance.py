@@ -70,7 +70,7 @@ def test_criterion_1_subset_merit_oracle_equivalence():
         mask = np.array(bits, dtype=bool)
         selected = [i for i, b in enumerate(bits) if b]
         reference = ref_subset_merit(selected, fc_ref, ff_ref)
-        worst = max(worst, abs(score(mask, omega).j_value - reference))
+        worst = max(worst, abs(score(mask, omega) - reference))
     elapsed = time.perf_counter() - t0
 
     ok = worst < 1e-9 and elapsed < 10.0
@@ -88,10 +88,10 @@ def test_criterion_2_guided_operator_optimality():
         omega = random_omega(rng, 30)
         a = rng.random(30) < rng.uniform(0.1, 0.9)
         b = rng.random(30) < rng.uniform(0.1, 0.9)
-        if sweep_crossover(a, b, omega) != oracle_crossover(a, b, omega):
+        if sweep_crossover(a, b, omega) != oracle_crossover(a, b, omega)[0]:
             crossover_mismatch += 1
         mask = rng.random(30) < rng.uniform(0.1, 0.9)
-        if sweep_mutation(mask, omega) != oracle_mutation(mask, omega):
+        if sweep_mutation(mask, omega) != oracle_mutation(mask, omega)[0]:
             mutation_mismatch += 1
     elapsed = time.perf_counter() - t0
 

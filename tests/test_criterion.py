@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chainga.criterion import _crossed_sums, score, sweep_crossover, sweep_mutation
+from chainga import criterion
+from chainga.criterion import _NEAR_TIE, _crossed_sums, score, sweep_crossover, sweep_mutation
 from chainga.infotheory import GainRatioMatrix
 from oracles import (
     loop_sweep_crossover,
@@ -12,26 +13,32 @@ from oracles import (
     oracle_mutation,
     random_omega,
     ref_subset_merit,
+    subset_sums,
 )
 
 
+def flip(mask, r):
+    flipped = np.array(mask, dtype=bool)
+    flipped[r] = not flipped[r]
+    return flipped
+
+
 def test_score_empty_mask(toy_omega):
-    result = score([0, 0, 0], toy_omega)
-    assert result.j_value == 0.0 and result.n_s == 0
+    assert score([0, 0, 0], toy_omega) == 0.0
 
 
 def test_score_singleton_equals_fc(toy_omega):
     for i in range(3):
         mask = np.zeros(3, dtype=bool)
         mask[i] = True
-        assert score(mask, toy_omega).j_value == pytest.approx(toy_omega.fc[i], abs=1e-12)
+        assert score(mask, toy_omega) == pytest.approx(toy_omega.fc[i], abs=1e-12)
 
 
 def test_score_pair_hand_value(toy_omega):
     # 2 * 0.7 / sqrt(2 + 2*0.5)
     result = score([1, 1, 0], toy_omega)
-    assert result.j_value == pytest.approx(0.8083, abs=1e-4)
-    assert result.j_value == pytest.approx(1.4 / math.sqrt(3.0), abs=1e-12)
+    assert result == pytest.approx(0.8083, abs=1e-4)
+    assert result == pytest.approx(1.4 / math.sqrt(3.0), abs=1e-12)
 
 
 def test_score_length_mismatch(toy_omega):
@@ -44,10 +51,10 @@ def test_score_identity_invariant():
     omega = random_omega(rng, 20)
     for _ in range(100):
         mask = rng.random(20) < 0.4
-        s = score(mask, omega)
-        if s.n_s:
-            expected = s.n_s * (s.sum_fc / s.n_s) / math.sqrt(s.n_s + s.sum_ff)
-            assert s.j_value == pytest.approx(expected, rel=1e-12)
+        n_s, sum_fc, sum_ff = subset_sums(mask, omega)
+        if n_s:
+            expected = n_s * (sum_fc / n_s) / math.sqrt(n_s + sum_ff)
+            assert score(mask, omega) == pytest.approx(expected, rel=1e-12)
 
 
 def test_score_all_subsets_match_reference_d10():
@@ -59,7 +66,7 @@ def test_score_all_subsets_match_reference_d10():
     for bits in itertools.product([0, 1], repeat=10):
         mask = np.array(bits, dtype=bool)
         selected = [i for i, b in enumerate(bits) if b]
-        worst = max(worst, abs(score(mask, omega).j_value - ref_subset_merit(selected, fc, ff)))
+        worst = max(worst, abs(score(mask, omega) - ref_subset_merit(selected, fc, ff)))
     assert worst < 1e-9
 
 
@@ -76,11 +83,11 @@ def test_crossed_sums_match_scratch_at_every_cut():
             for k in range(1, d):
                 children = (np.concatenate([a[:k], b[k:]]), np.concatenate([b[:k], a[k:]]))
                 for row, child in enumerate(children):
-                    fresh = score(child, omega)
+                    fresh_n, fresh_fc, fresh_ff = subset_sums(child, omega)
                     col = crossed[k - 1]
-                    assert n[row, col] == fresh.n_s
-                    assert abs(sum_fc[row, col] - fresh.sum_fc) < 1e-9
-                    assert abs(sum_ff[row, col] - fresh.sum_ff) < 1e-9
+                    assert n[row, col] == fresh_n
+                    assert abs(sum_fc[row, col] - fresh_fc) < 1e-9
+                    assert abs(sum_ff[row, col] - fresh_ff) < 1e-9
 
 
 def test_sweep_crossover_matches_loop_predecessor():
@@ -90,14 +97,12 @@ def test_sweep_crossover_matches_loop_predecessor():
         omega = random_omega(rng, d)
         a = rng.random(d) < rng.uniform(0.1, 0.9)
         b = rng.random(d) < rng.uniform(0.1, 0.9)
-        assert sweep_crossover(a, b, omega) == loop_sweep_crossover(a, b, omega)
+        assert sweep_crossover(a, b, omega) == loop_sweep_crossover(a, b, omega)[0]
 
 
 def test_sweep_crossover_identical_parents(toy_omega):
     mask = np.array([1, 0, 1], dtype=bool)
-    k, best = sweep_crossover(mask, mask, toy_omega)
-    assert k == 1
-    assert best == score(mask, toy_omega).j_value
+    assert sweep_crossover(mask, mask, toy_omega) == 1
 
 
 def test_sweep_crossover_d4_exhaustive():
@@ -106,7 +111,7 @@ def test_sweep_crossover_d4_exhaustive():
     b = np.array([0, 0, 1, 1], dtype=bool)
     for _ in range(50):
         omega = random_omega(rng, 4)
-        assert sweep_crossover(a, b, omega) == oracle_crossover(a, b, omega)
+        assert sweep_crossover(a, b, omega) == oracle_crossover(a, b, omega)[0]
 
 
 def test_sweep_crossover_single_differing_bit_ties_to_k1():
@@ -118,8 +123,8 @@ def test_sweep_crossover_single_differing_bit_ties_to_k1():
         a[0] = True
         b = a.copy()
         b[7] = not b[7]
-        k, best = sweep_crossover(a, b, omega)
-        assert (k, best) == oracle_crossover(a, b, omega)
+        k = sweep_crossover(a, b, omega)
+        assert k == oracle_crossover(a, b, omega)[0]
         assert k == 1
 
 
@@ -129,7 +134,7 @@ def test_sweep_crossover_matches_oracle_random_trials():
         omega = random_omega(rng, 30)
         a = rng.random(30) < rng.uniform(0.1, 0.9)
         b = rng.random(30) < rng.uniform(0.1, 0.9)
-        assert sweep_crossover(a, b, omega) == oracle_crossover(a, b, omega)
+        assert sweep_crossover(a, b, omega) == oracle_crossover(a, b, omega)[0]
 
 
 def test_sweep_crossover_swap_parents_invariance():
@@ -149,33 +154,33 @@ def test_sweep_crossover_needs_two_features():
 
 def test_sweep_mutation_single_feature_turns_on():
     omega = GainRatioMatrix(np.array([0.7]), np.zeros((1, 1)))
-    r, best = sweep_mutation([0], omega)
+    r = sweep_mutation([0], omega)
     assert r == 0
-    assert best == pytest.approx(0.7, abs=1e-12)
+    assert score(flip([0], r), omega) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_sweep_mutation_single_feature_may_empty():
     # with d == 1 the emptying flip is the only candidate
     omega = GainRatioMatrix(np.array([0.7]), np.zeros((1, 1)))
-    r, best = sweep_mutation([1], omega)
-    assert r == 0 and best == 0.0
+    r = sweep_mutation([1], omega)
+    assert r == 0 and score(flip([1], r), omega) == 0.0
 
 
 def test_sweep_mutation_adds_relevant_feature():
     # noise feature on, strong feature off: flipping the strong one wins
     omega = GainRatioMatrix(np.array([0.0, 0.9]), np.zeros((2, 2)))
-    r, best = sweep_mutation([1, 0], omega)
+    r = sweep_mutation([1, 0], omega)
     assert r == 1
-    assert best == pytest.approx(0.9 / math.sqrt(2.0), abs=1e-12)
+    assert score(flip([1, 0], r), omega) == pytest.approx(0.9 / math.sqrt(2.0), abs=1e-12)
 
 
 def test_sweep_mutation_never_empties_when_alternatives_exist():
     # all candidates score zero; the emptying flip must still be avoided
     omega = GainRatioMatrix(np.zeros(3), np.zeros((3, 3)))
     mask = np.array([0, 1, 0], dtype=bool)
-    r, best = sweep_mutation(mask, omega)
+    r = sweep_mutation(mask, omega)
     assert r == 0  # smallest non-emptying flip
-    assert best == 0.0
+    assert score(flip(mask, r), omega) == 0.0
 
 
 def test_sweep_mutation_matches_oracle_random_trials():
@@ -183,7 +188,67 @@ def test_sweep_mutation_matches_oracle_random_trials():
     for _ in range(200):
         omega = random_omega(rng, 30)
         mask = rng.random(30) < rng.uniform(0.1, 0.9)
-        assert sweep_mutation(mask, omega) == oracle_mutation(mask, omega)
+        assert sweep_mutation(mask, omega) == oracle_mutation(mask, omega)[0]
+
+
+@pytest.fixture
+def score_calls(monkeypatch) -> list:
+    """Masks passed to ``chainga.criterion.score`` as the sweeps see it; this
+    module's own ``score`` is the unwrapped function."""
+    calls = []
+
+    def counting(mask, omega):
+        calls.append(mask)
+        return score(mask, omega)
+
+    monkeypatch.setattr(criterion, "score", counting)
+    return calls
+
+
+def _contenders(masks, omega) -> int:
+    """Distinct masks whose exact merit is within the near-tie of the best."""
+    merits = {m.tobytes(): score(m, omega) for m in masks}
+    best = max(merits.values())
+    return sum(j >= best - _NEAR_TIE for j in merits.values())
+
+
+def test_sweeps_score_nothing_without_a_tie(score_calls):
+    mask = np.array([1, 0, 1], dtype=bool)
+    assert sweep_crossover(mask, mask, GainRatioMatrix(np.full(3, 0.5), np.zeros((3, 3)))) == 1
+    one = GainRatioMatrix(np.array([0.7]), np.zeros((1, 1)))
+    assert sweep_mutation([0], one) == 0 and sweep_mutation([1], one) == 0
+    assert score_calls == []
+
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        omega = random_omega(rng, 20)
+        a, b, mask = (rng.random((3, 20)) < 0.5)
+        children = [np.concatenate(p) for k in range(1, 20) for p in ((a[:k], b[k:]), (b[:k], a[k:]))]
+        assert _contenders(children, omega) == 1  # a unique best cut
+        assert _contenders([flip(mask, r) for r in range(20)], omega) == 1  # a unique best site
+        assert sweep_crossover(a, b, omega) == oracle_crossover(a, b, omega)[0]
+        assert sweep_mutation(mask, omega) == oracle_mutation(mask, omega)[0]
+        # one differing bit: every cut gives {a, b}, the better one at two cuts
+        b = flip(a, 7)
+        assert abs(score(a, omega) - score(b, omega)) > _NEAR_TIE
+        assert sweep_crossover(a, b, omega) == 1
+    assert score_calls == []
+
+
+def test_sweeps_score_each_exactly_tied_candidate(score_calls):
+    # grid omega: the two tied merits are the same sums in the same order
+    omega = GainRatioMatrix(np.full(3, 0.5), np.zeros((3, 3)))
+    a = np.array([1, 0, 1], dtype=bool)
+    b = np.array([0, 1, 0], dtype=bool)
+    # cut 1 gives {0, 1}, cut 2 gives {1, 2}: both 1 / sqrt(2)
+    assert sweep_crossover(a, b, omega) == 1
+    assert [m.tolist() for m in score_calls] == [[True, True, False], [False, True, True]]
+
+    score_calls.clear()
+    omega = GainRatioMatrix(np.array([0.5, 0.5, 0.0]), np.zeros((3, 3)))
+    # adding site 0 or site 1 to {2} ties at 0.5 / sqrt(2); emptying is excluded
+    assert sweep_mutation([0, 0, 1], omega) == 0
+    assert [m.tolist() for m in score_calls] == [[True, False, True], [False, True, True]]
 
 
 def test_scale_consistency_fc_only():
@@ -193,6 +258,4 @@ def test_scale_consistency_fc_only():
         scaled = GainRatioMatrix(c * omega.fc, omega.ff.copy())
         for _ in range(20):
             mask = rng.random(12) < 0.5
-            assert score(mask, scaled).j_value == pytest.approx(
-                c * score(mask, omega).j_value, rel=1e-12
-            )
+            assert score(mask, scaled) == pytest.approx(c * score(mask, omega), rel=1e-12)

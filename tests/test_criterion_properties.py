@@ -59,7 +59,7 @@ def crossover_cases(draw):
 @given(crossover_cases())
 def test_sweep_crossover_equals_exhaustive_oracle(case):
     a, b, omega = case
-    assert sweep_crossover(a, b, omega) == oracle_crossover(a, b, omega)
+    assert sweep_crossover(a, b, omega) == oracle_crossover(a, b, omega)[0]
 
 
 @st.composite
@@ -80,4 +80,4 @@ def mutation_cases(draw):
 @given(mutation_cases())
 def test_sweep_mutation_equals_exhaustive_oracle(case):
     mask, omega = case
-    assert sweep_mutation(mask, omega) == oracle_mutation(mask, omega)
+    assert sweep_mutation(mask, omega) == oracle_mutation(mask, omega)[0]

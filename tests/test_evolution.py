@@ -366,9 +366,9 @@ def crossover_events(monkeypatch) -> list:
     sweep = evolution.sweep_crossover
 
     def recording(a, b, omega):
-        k, j_value = sweep(a, b, omega)
+        k = sweep(a, b, omega)
         events.append((k, a.copy(), b.copy()))
-        return k, j_value
+        return k
 
     monkeypatch.setattr(evolution, "sweep_crossover", recording)
     return events

@@ -222,10 +222,22 @@ def test_cli_omega_dump_out_under_a_file_fails_before_building(tmp_path, capsys,
         ({"evolution": [1]}, [], "'evolution' must be a mapping"),
         ({"evolution": dict(EVOLUTION, chain_mode="ring")}, [], "chain_mode"),
         ({"omega_cache": 5}, [], "'omega_cache' must be a path"),
+        ({"bins": 1}, [], "bins must be >= 2"),
+        ({}, ["--bins", "1"], "bins must be >= 2"),
+        ({"evolution": dict(EVOLUTION, population_size=30.0)}, [], "population_size must be an integer"),
+        ({"evolution": dict(EVOLUTION, generations=2.5)}, [], "generations must be an integer"),
+        ({"evolution": dict(EVOLUTION, knn_k=5.0)}, [], "knn_k must be an integer"),
+        ({"evolution": dict(EVOLUTION, elites=2.0)}, [], "elites must be an integer"),
+        ({"evolution": dict(EVOLUTION, elites=True)}, [], "elites must be an integer"),
+        ({"evolution": dict(EVOLUTION, alpha=True)}, [], "alpha must be a real number"),
+        ({"evolution": dict(EVOLUTION, diversity_crossover="false")}, [],
+         "diversity_crossover must be true or false"),
     ],
     ids=["valid", "seeds-int", "seeds-str", "seeds-float", "seeds-bool", "threads-str",
          "threads-zero", "threads-flag-zero", "bins-str", "split-seed-list", "subsample-str",
-         "subsample-zero", "evolution-list", "evolution-chain-mode", "omega-cache-int"],
+         "subsample-zero", "evolution-list", "evolution-chain-mode", "omega-cache-int",
+         "bins-one", "bins-flag-one", "population-size-float", "generations-float", "knn-k-float",
+         "elites-float", "elites-bool", "alpha-bool", "diversity-crossover-str"],
 )
 def test_cli_invalid_run_config_is_config_error(tmp_path, capsys, extra, flags, error):
     config_path = write_configs(tmp_path, extra=extra)
@@ -236,6 +248,32 @@ def test_cli_invalid_run_config_is_config_error(tmp_path, capsys, extra, flags, 
         assert code == 1
         err = capsys.readouterr().err
         assert "config error:" in err and error in err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["run", "--out", "x"], "--config"),
+        (["run", "--config", "run.yaml", "--out", "x", "--seeds", "x"], "--seeds"),
+        (["omega-dump", "--config", "run.yaml", "--out", "x", "--omega-cache", "c"], "--omega-cache"),
+        (["omega-dump", "--config", "run.yaml", "--out", "x", "--seeds", "7"], "--seeds"),
+    ],
+    ids=["missing-config", "seeds-str", "omega-dump-omega-cache", "omega-dump-seeds"],
+)
+def test_cli_usage_error_is_config_error(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and error in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_cli_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag])
+    assert exc.value.code == 0
+    assert "chainga" in capsys.readouterr().out
 
 
 def test_cli_flag_overrides(tmp_path):
