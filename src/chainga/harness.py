@@ -141,13 +141,23 @@ def load_run_config(path, **overrides) -> HarnessConfig:
     if not isinstance(cfg.seeds, list) or not cfg.seeds:
         raise ConfigError(f"seed list must be a non-empty list of integers, got {cfg.seeds!r}")
     for seed in cfg.seeds:
-        _require_int("seed", seed)
+        _require_int("seed", seed, minimum=0)
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ConfigError(f"seed list repeats a seed: {cfg.seeds!r}")
     _require_int("threads", cfg.threads, minimum=1)
     _require_int("bins", cfg.bins, minimum=2)
     _require_int("split_seed", cfg.split_seed)
     if cfg.subsample is not None:
         _require_int("subsample", cfg.subsample, minimum=1)
+        if manifest.get("type") == "synthetic":
+            raise ConfigError("subsample applies only to csv manifests")
     return cfg
+
+
+# SyntheticSpec's fields in order, as (manifest key, default); None marks a required key
+_SYNTHETIC_FIELDS = (
+    ("rows", None), ("informative", None), ("redundant", 0), ("noise", 0), ("classes", 2), ("seed", 0)
+)
 
 
 def build_dataset(cfg: HarnessConfig) -> Dataset:
@@ -155,25 +165,23 @@ def build_dataset(cfg: HarnessConfig) -> Dataset:
     manifest = cfg.manifest
     kind = manifest.get("type", "csv")
     if kind == "synthetic":
-        try:
-            spec = SyntheticSpec(
-                n_rows=int(manifest["rows"]),
-                n_informative=int(manifest["informative"]),
-                n_redundant=int(manifest.get("redundant", 0)),
-                n_noise=int(manifest.get("noise", 0)),
-                n_classes=int(manifest.get("classes", 2)),
-                seed=int(manifest.get("seed", 0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"synthetic manifest missing field {exc}") from exc
-        dataset = generate_synthetic(spec, bins=cfg.bins)
+        values = []
+        for name, default in _SYNTHETIC_FIELDS:
+            if default is None and name not in manifest:
+                raise ConfigError(f"synthetic manifest missing field {name!r}")
+            values.append(manifest.get(name, default))
+            _require_int(f"manifest {name}", values[-1], minimum=0)
+        dataset = generate_synthetic(SyntheticSpec(*values), bins=cfg.bins)
     elif kind == "csv":
-        try:
-            csv_path = cfg.manifest_dir / manifest["path"]
-            label_column = manifest["label_column"]
-        except KeyError as exc:
-            raise ConfigError(f"csv manifest missing field {exc}") from exc
-        raw = load_csv(csv_path, label_column, header=bool(manifest.get("header", True)))
+        for name in ("path", "label_column"):
+            if name not in manifest:
+                raise ConfigError(f"csv manifest missing field {name!r}")
+            if not isinstance(manifest[name], str):
+                raise ConfigError(f"manifest {name} must be a string, got {manifest[name]!r}")
+        header = manifest.get("header", True)
+        if not isinstance(header, bool):
+            raise ConfigError(f"manifest header must be true or false, got {header!r}")
+        raw = load_csv(cfg.manifest_dir / manifest["path"], manifest["label_column"], header=header)
         if cfg.subsample:
             raw = subsample_raw(raw, cfg.subsample, cfg.split_seed)
         dataset = prepare(raw, bins=cfg.bins, split_seed=cfg.split_seed)
@@ -411,6 +419,8 @@ def cmd_sensitivity(cfg: HarnessConfig, parameter: str, values: list[int], out_d
         raise ConfigError(f"sensitivity parameter must be 'M' or 'S', got {parameter!r}")
     if not values:
         raise ConfigError("sensitivity sweep needs at least one value")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"sensitivity values repeat a value: {list(values)!r}")
 
     # validate the whole sweep before burning any compute
     sweeps = []

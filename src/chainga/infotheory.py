@@ -11,22 +11,28 @@ from .data import Dataset
 
 
 def _codes(values) -> tuple[np.ndarray, int]:
-    _, inverse = np.unique(np.asarray(values), return_inverse=True)
+    _, inverse = np.unique(np.asarray(values).ravel(), return_inverse=True)
     return inverse, int(inverse.max()) + 1
 
 
-def _entropy_from_counts(counts: np.ndarray) -> float:
-    p = counts[counts > 0] / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+def _entropies(codes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Entropy in bits of every column of an (n, m) code matrix whose
+    column t holds codes in [0, sizes[t]): one bincount over the codes
+    shifted by each column's offset, then one segmented sum of p*log2(p)
+    over the nonzero cells."""
+    offsets = np.cumsum(sizes) - sizes
+    counts = np.bincount((codes + offsets).ravel(), minlength=int(sizes.sum()))
+    cells = np.flatnonzero(counts)
+    p = counts[cells] / codes.shape[0]
+    return -np.add.reduceat(p * np.log2(p), np.searchsorted(cells, offsets))
 
 
 def entropy(values) -> float:
     """Shannon entropy in bits of the empirical symbol distribution."""
-    values = np.asarray(values)
-    if values.size == 0:
+    if np.size(values) == 0:
         raise ValueError("entropy of an empty vector is undefined")
-    _, counts = np.unique(values, return_counts=True)
-    return _entropy_from_counts(counts)
+    codes, k = _codes(values)
+    return float(_entropies(codes[:, None], np.array([k]))[0])
 
 
 def information_gain(target, feature) -> float:
@@ -42,10 +48,8 @@ def information_gain(target, feature) -> float:
         raise ValueError("information gain of empty vectors is undefined")
     t, kt = _codes(target)
     f, kf = _codes(feature)
-    h_t = _entropy_from_counts(np.bincount(t, minlength=kt))
-    h_f = _entropy_from_counts(np.bincount(f, minlength=kf))
-    h_tf = _entropy_from_counts(np.bincount(t * kf + f, minlength=kt * kf))
-    return max(0.0, h_t + h_f - h_tf)
+    h_t, h_f, h_tf = _entropies(np.stack([t, f, t * kf + f], axis=1), np.array([kt, kf, kt * kf]))
+    return max(0.0, float(h_t + h_f - h_tf))
 
 
 @dataclass
@@ -74,7 +78,9 @@ def build_omega(dataset: Dataset, rows: np.ndarray | None = None) -> GainRatioMa
     """Compute the gain-ratio matrix over the discretized view.
 
     ``rows`` selects the rows to use (defaults to the training partition).
-    Cost is quadratic in the feature count and linear in the row count.
+    Cost is quadratic in the feature count and linear in the row count:
+    one ``_entropies`` call per feature row i covers its joint codes with
+    every later feature j > i.
     """
     if rows is None:
         rows = dataset.train_idx
@@ -84,41 +90,29 @@ def build_omega(dataset: Dataset, rows: np.ndarray | None = None) -> GainRatioMa
 
     X = dataset.X_disc[rows]
     d = X.shape[1]
-    codes = []
-    h = np.zeros(d)
+    codes, k = np.empty_like(X), np.empty(d, dtype=np.int64)
     for i in range(d):
-        c, k = _codes(X[:, i])
-        codes.append((c, k))
-        h[i] = _entropy_from_counts(np.bincount(c, minlength=k))
-
+        codes[:, i], k[i] = _codes(X[:, i])
     yc, ky = _codes(dataset.y[rows])
-    h_y = _entropy_from_counts(np.bincount(yc, minlength=ky))
 
-    fc = np.zeros(d)
-    ff = np.zeros((d, d))
-    for i in range(d):
-        ci, ki = codes[i]
-        if h[i] <= 0.0:
-            continue
-        h_iy = _entropy_from_counts(np.bincount(ci * ky + yc, minlength=ki * ky))
-        fc[i] = (h[i] + h_y - h_iy) / h[i]
-    for i in range(d):
-        ci, ki = codes[i]
-        for j in range(i + 1, d):
-            cj, kj = codes[j]
-            h_ij = _entropy_from_counts(np.bincount(ci * kj + cj, minlength=ki * kj))
-            mi = h[i] + h[j] - h_ij
-            if h[i] > 0.0:
-                ff[i, j] = mi / h[i]
-            if h[j] > 0.0:
-                ff[j, i] = mi / h[j]
+    h = _entropies(codes, k)
+    h_y = _entropies(yc[:, None], np.array([ky]))[0]
+    h_iy = _entropies(codes * ky + yc[:, None], k * ky)
+    informative = h > 0.0
+    fc = np.divide(h + h_y - h_iy, h, out=np.zeros(d), where=informative)
+    ff = np.zeros((d, d))  # each pair's mutual information, then divided in place
+    for i in range(d - 1):
+        h_ij = _entropies(codes[:, i, None] * k[i + 1 :] + codes[:, i + 1 :], k[i] * k[i + 1 :])
+        ff[i, i + 1 :] = ff[i + 1 :, i] = h[i] + h[i + 1 :] - h_ij
+    np.divide(ff, h[:, None], out=ff, where=informative[:, None])
+    ff[~informative] = 0.0
 
     np.clip(fc, 0.0, 1.0, out=fc)
     np.clip(ff, 0.0, 1.0, out=ff)
     return GainRatioMatrix(fc, ff)
 
 
-_DUMP_MAGIC = b"chainga-omega-1\n"
+_DUMP_MAGIC = b"chainga-omega-2\n"
 
 
 def save_omega(path, omega: GainRatioMatrix, key: str) -> None:

@@ -198,6 +198,57 @@ def random_omega(rng, d):
     return GainRatioMatrix(fc, ff)
 
 
+def loop_build_omega(dataset, rows=None):
+    """The predecessor of ``build_omega``: one bincount and one pairwise
+    ``.sum()`` entropy per feature, per (feature, class) pair and per
+    feature pair, in a double loop over the pairs."""
+    from chainga.infotheory import GainRatioMatrix
+
+    def codes(values):
+        _, inverse = np.unique(values, return_inverse=True)
+        return inverse, int(inverse.max()) + 1
+
+    def entropy_from_counts(counts):
+        p = counts[counts > 0] / counts.sum()
+        return float(-(p * np.log2(p)).sum())
+
+    if rows is None:
+        rows = dataset.train_idx
+    rows = np.asarray(rows)
+    if rows.size < 2:
+        raise ValueError("gain-ratio matrix needs at least 2 rows")
+
+    X = dataset.X_disc[rows]
+    d = X.shape[1]
+    columns = [codes(X[:, i]) for i in range(d)]
+    h = np.array([entropy_from_counts(np.bincount(c, minlength=k)) for c, k in columns])
+    yc, ky = codes(dataset.y[rows])
+    h_y = entropy_from_counts(np.bincount(yc, minlength=ky))
+
+    fc = np.zeros(d)
+    ff = np.zeros((d, d))
+    for i in range(d):
+        ci, ki = columns[i]
+        if h[i] <= 0.0:
+            continue
+        h_iy = entropy_from_counts(np.bincount(ci * ky + yc, minlength=ki * ky))
+        fc[i] = (h[i] + h_y - h_iy) / h[i]
+    for i in range(d):
+        ci, ki = columns[i]
+        for j in range(i + 1, d):
+            cj, kj = columns[j]
+            h_ij = entropy_from_counts(np.bincount(ci * kj + cj, minlength=ki * kj))
+            mi = h[i] + h[j] - h_ij
+            if h[i] > 0.0:
+                ff[i, j] = mi / h[i]
+            if h[j] > 0.0:
+                ff[j, i] = mi / h[j]
+
+    np.clip(fc, 0.0, 1.0, out=fc)
+    np.clip(ff, 0.0, 1.0, out=ff)
+    return GainRatioMatrix(fc, ff)
+
+
 def argsort_knn_predict(train_X, train_y, query_X, k):
     """The predecessor of ``knn_predict``: a stable argsort of every row of
     the distance matrix, then ``np.add.at`` votes and ``np.minimum.at``

@@ -212,6 +212,7 @@ def test_cli_omega_dump_out_under_a_file_fails_before_building(tmp_path, capsys,
         ({"seeds": ["a"]}, [], "seed must be an integer"),
         ({"seeds": [1.5]}, [], "seed must be an integer"),
         ({"seeds": [True]}, [], "seed must be an integer"),
+        ({}, ["--seeds", "-1"], "seed must be >= 0"),
         ({"threads": "x"}, [], "threads must be an integer"),
         ({"threads": 0}, [], "threads must be >= 1"),
         ({}, ["--threads", "0"], "threads must be >= 1"),
@@ -232,16 +233,63 @@ def test_cli_omega_dump_out_under_a_file_fails_before_building(tmp_path, capsys,
         ({"evolution": dict(EVOLUTION, alpha=True)}, [], "alpha must be a real number"),
         ({"evolution": dict(EVOLUTION, diversity_crossover="false")}, [],
          "diversity_crossover must be true or false"),
+        ({"seeds": [1, 1]}, [], "seed list repeats a seed"),
+        ({}, ["--seeds", "2", "1", "2"], "seed list repeats a seed"),
+        ({"subsample": 10}, [], "subsample applies only to csv manifests"),
+        ({}, ["--subsample", "10"], "subsample applies only to csv manifests"),
     ],
-    ids=["valid", "seeds-int", "seeds-str", "seeds-float", "seeds-bool", "threads-str",
-         "threads-zero", "threads-flag-zero", "bins-str", "split-seed-list", "subsample-str",
-         "subsample-zero", "evolution-list", "evolution-chain-mode", "omega-cache-int",
+    ids=["valid", "seeds-int", "seeds-str", "seeds-float", "seeds-bool", "seeds-flag-negative",
+         "threads-str", "threads-zero", "threads-flag-zero", "bins-str", "split-seed-list",
+         "subsample-str", "subsample-zero", "evolution-list", "evolution-chain-mode", "omega-cache-int",
          "bins-one", "bins-flag-one", "population-size-float", "generations-float", "knn-k-float",
-         "elites-float", "elites-bool", "alpha-bool", "diversity-crossover-str"],
+         "elites-float", "elites-bool", "alpha-bool", "diversity-crossover-str", "seeds-repeated",
+         "seeds-flag-repeated", "subsample-synthetic", "subsample-flag-synthetic"],
 )
 def test_cli_invalid_run_config_is_config_error(tmp_path, capsys, extra, flags, error):
     config_path = write_configs(tmp_path, extra=extra)
     code = cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), *flags])
+    if error is None:
+        assert code == 0
+    else:
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and error in err
+
+
+CSV_MANIFEST = {"type": "csv", "path": "table.csv", "label_column": "class", "header": True}
+
+
+@pytest.mark.parametrize(
+    "manifest, error",
+    [
+        (MANIFEST, None),  # both manifests as written run
+        (CSV_MANIFEST, None),
+        (dict(MANIFEST, rows="abc"), "manifest rows must be an integer"),
+        (dict(MANIFEST, rows=90.7), "manifest rows must be an integer"),
+        (dict(MANIFEST, informative=True), "manifest informative must be an integer"),
+        (dict(MANIFEST, redundant="1"), "manifest redundant must be an integer"),
+        (dict(MANIFEST, noise=[3]), "manifest noise must be an integer"),
+        (dict(MANIFEST, classes=2.0), "manifest classes must be an integer"),
+        (dict(MANIFEST, seed="5"), "manifest seed must be an integer"),
+        (dict(MANIFEST, seed=-1), "manifest seed must be >= 0"),
+        (dict(MANIFEST, noise=-3), "manifest noise must be >= 0"),
+        ({k: v for k, v in MANIFEST.items() if k != "rows"}, "missing field 'rows'"),
+        (dict(CSV_MANIFEST, path=5), "manifest path must be a string"),
+        (dict(CSV_MANIFEST, label_column=3), "manifest label_column must be a string"),
+        (dict(CSV_MANIFEST, header="no"), "manifest header must be true or false"),
+        (dict(CSV_MANIFEST, header=1), "manifest header must be true or false"),
+        ({k: v for k, v in CSV_MANIFEST.items() if k != "path"}, "missing field 'path'"),
+    ],
+    ids=["synthetic-valid", "csv-valid", "rows-str", "rows-float", "informative-bool",
+         "redundant-str", "noise-list", "classes-float", "seed-str", "seed-negative",
+         "noise-negative", "rows-missing", "path-int", "label-column-int", "header-str",
+         "header-int", "path-missing"],
+)
+def test_cli_invalid_manifest_field_is_config_error(tmp_path, capsys, manifest, error):
+    rows = ["a,b,class"] + [f"{i},{i % 3},{'xy'[i % 2]}" for i in range(20)]
+    (tmp_path / "table.csv").write_text("\n".join(rows) + "\n")
+    config_path = write_configs(tmp_path, manifest=manifest)
+    code = cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
     if error is None:
         assert code == 0
     else:
@@ -350,6 +398,20 @@ def test_sensitivity_rejects_non_divisor(tmp_path):
     assert code == 1
 
 
+def test_sensitivity_rejects_repeated_values(tmp_path, capsys):
+    config_path = write_configs(tmp_path, evolution=dict(EVOLUTION, population_size=12))
+    with pytest.raises(ConfigError, match="repeat"):
+        cmd_sensitivity(load_run_config(config_path), "M", [3, 1, 3], tmp_path / "x")
+    assert not (tmp_path / "x").exists()  # rejected before any set-up
+    code = cli.main(
+        ["sensitivity", "--config", str(config_path), "--out", str(tmp_path / "y"),
+         "--parameter", "M", "--values", "3", "3"]
+    )
+    assert code == 1
+    assert "sensitivity values repeat a value" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
+
+
 def test_sensitivity_s_sweep(tmp_path):
     config_path = write_configs(
         tmp_path, evolution=dict(EVOLUTION, population_size=12, subpopulations=2)
@@ -399,13 +461,15 @@ def test_omega_cache_mismatch_recomputes(tmp_path):
     "corrupt",
     [
         lambda data: b"not-a-dump\n" + data,  # bad magic
+        # a dump from the per-pair build, whose bits differ from a fresh build
+        lambda data: data.replace(b"chainga-omega-2\n", b"chainga-omega-1\n", 1),
         lambda data: data[: data.index(b"\n") + 5],  # truncated JSON header
         lambda data: data.replace(b'"d": ', b'"d": "x', 1),  # header not JSON
         lambda data: data[:-8],  # ff one value short
         lambda data: data + b"\0" * 8,  # trailing bytes
         lambda data: data.replace(b'"d": 6}', b'"d": 7}', 1),  # body too short for d
     ],
-    ids=["magic", "truncated-header", "bad-json", "short-body", "long-body", "wrong-d"],
+    ids=["magic", "old-magic", "truncated-header", "bad-json", "short-body", "long-body", "wrong-d"],
 )
 def test_cli_corrupt_omega_cache_recomputes(tmp_path, corrupt):
     config_path = write_configs(tmp_path)
