@@ -6,9 +6,11 @@ from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist  # noqa: F401 (perfbench/tracer.py times classifier.cdist by name)
 
 from .data import Dataset
+
+_BLOCK = 2**20  # entries of one query block's n_query x n_train key matrix (8 MiB)
 
 
 def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k: int) -> np.ndarray:
@@ -23,9 +25,12 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
         raise ValueError("training matrix must select at least one feature")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if query_X.ndim != 2 or query_X.shape[1] != train_X.shape[1]:
+        raise ValueError(f"query matrix must be 2-D with {train_X.shape[1]} columns, got shape {query_X.shape}")
 
-    dists = cdist(query_X, train_X)
-    labels = train_y[_nearest(dists, k)]  # (n_query, k) in distance order
+    step = max(1, _BLOCK // train_X.shape[0])
+    blocks = range(0, max(len(query_X), 1), step)
+    labels = train_y[np.concatenate([_nearest(query_X[i:i + step], train_X, k) for i in blocks])]
 
     n_classes = int(train_y.max()) + 1
     rows = np.arange(len(labels))[:, None]
@@ -37,15 +42,30 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
     return labels[rows[:, 0], np.argmax(top, axis=1)]
 
 
-def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k smallest entries, ordered by (value,
-    column): the first k columns of a stable argsort, without sorting rows."""
-    n_query, n_train = dists.shape
+def _nearest(query_X: np.ndarray, train_X: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each query's k nearest training rows, ordered by
+    (distance, column): the first k columns of a stable argsort of
+    ``cdist(query_X, train_X)``, without computing or sorting that matrix."""
+    (n_query, d), n_train = query_X.shape, train_X.shape[0]
     k = min(k, n_train)
-    kth = np.partition(dists, k - 1, axis=1)[:, [k - 1]]
-    # every entry <= the k-th value is a candidate; columns ascend within a row
-    rows, cols = np.nonzero(dists <= kth)
-    order = np.lexsort((dists[rows, cols], rows))  # stable: ties keep column order
+    t_sq = np.einsum("ij,ij->i", train_X, train_X)
+    key = query_X @ train_X.T
+    key *= -2.0
+    key += t_sq  # |q - t|^2 - |q|^2: the same order within a row
+    kth = np.partition(key, k - 1, axis=1)[:, [k - 1]]
+    # With u = eps/2 and S = |q|^2 + max|t|^2 >= |q - t|^2 / 2: a key is off by
+    # <= (2d + 2)uS (GEMM, |t|^2), cdist's in-order sum by <= (d + 2)u|q - t|^2,
+    # and sqrt merges squares <= 4u apart. So a column cdist ranks at or before
+    # one keyed <= kth is keyed <= kth + (8d + 20)uS; the slack is (16d + 64)uS.
+    q_sq = np.einsum("ij,ij->i", query_X, query_X)[:, None]
+    slack = 8 * (d + 4) * np.finfo(float).eps * (q_sq + t_sq.max())
+    rows, cols = np.divmod(np.flatnonzero(key <= kth + slack), n_train)  # columns ascend within a row
+    dists = np.empty(rows.size)
+    chunk = max(1, _BLOCK // d)
+    for s in range(0, rows.size, chunk):  # summed in feature order as cdist sums: bit-identical
+        r, c = rows[s:s + chunk], cols[s:s + chunk]
+        dists[s:s + chunk] = np.sqrt(np.add.accumulate((query_X[r] - train_X[c]) ** 2, axis=1)[:, -1])
+    order = np.lexsort((dists, rows))  # stable: ties keep column order
     counts = np.bincount(rows, minlength=n_query)
     starts = np.cumsum(counts) - counts
     return cols[order][starts[:, None] + np.arange(k)]

@@ -250,7 +250,7 @@ def loop_build_omega(dataset, rows=None):
 
 
 def argsort_knn_predict(train_X, train_y, query_X, k):
-    """The predecessor of ``knn_predict``: a stable argsort of every row of
+    """The predecessor of ``cdist_knn_predict``: a stable argsort of every row of
     the distance matrix, then ``np.add.at`` votes and ``np.minimum.at``
     first ranks."""
     if train_X.shape[0] == 0:
@@ -278,6 +278,36 @@ def argsort_knn_predict(train_X, train_y, query_X, k):
     tied = votes == votes.max(axis=1, keepdims=True)
     rank_among_tied = np.where(tied, first_rank, k + 1)
     return np.argmin(rank_among_tied, axis=1)
+
+
+def cdist_knn_predict(train_X, train_y, query_X, k):
+    """The predecessor of ``knn_predict``: the full ``cdist`` matrix,
+    ``np.partition`` at each row's k-th distance, a stable sort of only the
+    entries at or below it, and one ``np.bincount`` vote."""
+    if train_X.shape[0] == 0:
+        raise ValueError("empty training set")
+    if train_X.ndim != 2 or train_X.shape[1] == 0:
+        raise ValueError("training matrix must select at least one feature")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+    dists = cdist(query_X, train_X)
+    n_query, n_train = dists.shape
+    k = min(k, n_train)
+    kth = np.partition(dists, k - 1, axis=1)[:, [k - 1]]
+    # every entry <= the k-th value is a candidate; columns ascend within a row
+    rows, cols = np.nonzero(dists <= kth)
+    order = np.lexsort((dists[rows, cols], rows))  # stable: ties keep column order
+    counts = np.bincount(rows, minlength=n_query)
+    starts = np.cumsum(counts) - counts
+    labels = train_y[cols[order][starts[:, None] + np.arange(k)]]  # (n_query, k) in distance order
+
+    n_classes = int(train_y.max()) + 1
+    rows = np.arange(len(labels))[:, None]
+    votes = np.bincount((rows * n_classes + labels).ravel(), minlength=rows.size * n_classes)
+    votes = votes.reshape(rows.size, n_classes)
+    top = votes[rows, labels] == votes.max(axis=1, keepdims=True)
+    return labels[rows[:, 0], np.argmax(top, axis=1)]
 
 
 def _serial_chain_step(subpop, j, omega, config, rng, evaluate, evaluated):

@@ -13,6 +13,7 @@ from chainga.classifier import (
     evaluate_metrics,
     knn_predict,
 )
+from oracles import cdist_knn_predict
 
 
 def test_knn_zero_distance_k1():
@@ -62,6 +63,24 @@ def test_knn_rejects_bad_inputs():
         knn_predict(np.zeros((3, 0)), np.zeros(3, dtype=int), np.zeros((1, 0)), k=1)
     with pytest.raises(ValueError):
         knn_predict(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros((1, 2)), k=0)
+    with pytest.raises(ValueError):  # query matrix not 2-D
+        knn_predict(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros(2), k=1)
+    with pytest.raises(ValueError):  # query columns differ from the training columns
+        knn_predict(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros((1, 3)), k=1)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3])
+def test_knn_query_blocks_match_oracle(monkeypatch, rows_per_block):
+    # near-tie rows on the 0.01 grid; with d=41 the exact refine also runs
+    # in chunks (of 1 and of 2 pairs)
+    rng = np.random.default_rng(7)
+    base = rng.integers(0, 101, 41) / 100
+    train = np.array([base[rng.permutation(41)] for _ in range(30)])
+    labels = rng.integers(0, 4, 30)
+    queries = np.concatenate([rng.integers(0, 101, (14, 41)) / 100, np.full((1, 41), 0.5), train[[0, 3]]])
+    monkeypatch.setattr(classifier, "_BLOCK", rows_per_block * len(train))
+    for k in (1, 5, 30, 32):
+        assert np.array_equal(knn_predict(train, labels, queries, k), cdist_knn_predict(train, labels, queries, k))
 
 
 def test_knn_deterministic():

@@ -1,5 +1,6 @@
-"""Property tests: the partition-based KNN kernel against the stable
-argsort it replaced, on tie-heavy inputs."""
+"""Property tests: the Gram-filtered KNN kernel against the cdist-plus-
+partition kernel it replaced and the stable argsort before that, on
+tie-heavy and near-tie inputs."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,33 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from chainga.classifier import _nearest, knn_predict
-from oracles import argsort_knn_predict
+from oracles import argsort_knn_predict, cdist_knn_predict
 
 
 def grid_rows(n, d):
     """n rows of d coordinates from {0, 0.5, 1}: distances tie often."""
     cells = st.lists(st.sampled_from((0.0, 0.5, 1.0)), min_size=n * d, max_size=n * d)
     return cells.map(lambda values: np.array(values).reshape(n, d))
+
+
+def labels_for(draw, n):
+    # some classes below the largest label may be absent
+    present = sorted(draw(st.sets(st.integers(0, 4), min_size=1)))
+    return np.array(draw(st.lists(st.sampled_from(present), min_size=n, max_size=n)))
+
+
+def assert_matches_predecessors(train, labels, queries, k):
+    expected = argsort_knn_predict(train, labels, queries, k)
+    assert np.array_equal(cdist_knn_predict(train, labels, queries, k), expected)
+    assert np.array_equal(knn_predict(train, labels, queries, k), expected)
+
+
+def assert_stable_argsort_prefix(train, queries, k):
+    expected = np.argsort(cdist(queries, train), axis=1, kind="stable")[:, :k]
+    assert np.array_equal(_nearest(queries, train, k), expected)
 
 
 @st.composite
@@ -29,32 +48,57 @@ def knn_cases(draw):
         draw(grid_rows(draw(st.integers(0, 4)), d)),
         train[draw(st.lists(st.integers(0, len(train) - 1), min_size=1, max_size=4))],
     ])
-    # some classes below the largest label may be absent
-    present = sorted(draw(st.sets(st.integers(0, 4), min_size=1)))
-    labels = np.array(draw(st.lists(st.sampled_from(present), min_size=len(train), max_size=len(train))))
     k = draw(st.integers(1, len(train) + 2))
-    return train, labels, queries, k
+    return train, labels_for(draw, len(train)), queries, k
 
 
 @given(knn_cases())
 @example((np.array([[0.5, 1.0]]), np.array([3]), np.array([[0.0, 0.5]]), 1))
 @example((np.array([[0.0], [1.0], [0.5], [0.5]]), np.array([0, 3, 3, 0]), np.array([[0.5]]), 4))
 def test_knn_matches_argsort_predecessor(case):
-    train, labels, queries, k = case
-    expected = argsort_knn_predict(train, labels, queries, k)
-    assert np.array_equal(knn_predict(train, labels, queries, k), expected)
+    assert_matches_predecessors(*case)
 
 
 @st.composite
-def tie_heavy_distances(draw):
-    n_query, n_train = draw(st.integers(1, 6)), draw(st.integers(1, 15))
-    values = st.lists(st.integers(0, 3), min_size=n_query * n_train, max_size=n_query * n_train)
-    dists = np.array(draw(values), dtype=float).reshape(n_query, n_train)
-    return dists, draw(st.integers(1, n_train + 2))
+def tie_heavy_grids(draw):
+    n_query, n_train, d = draw(st.integers(1, 6)), draw(st.integers(1, 15)), draw(st.integers(1, 3))
+    cells = st.lists(st.integers(0, 3), min_size=(n_query + n_train) * d, max_size=(n_query + n_train) * d)
+    points = np.array(draw(cells), dtype=float).reshape(n_query + n_train, d)
+    return points[n_query:], points[:n_query], draw(st.integers(1, n_train + 2))
 
 
-@given(tie_heavy_distances())
+@given(tie_heavy_grids())
 def test_nearest_is_the_stable_argsort_prefix(case):
-    dists, k = case
-    expected = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    assert np.array_equal(_nearest(dists, k), expected)
+    assert_stable_argsort_prefix(*case)
+
+
+@st.composite
+def near_tie_cases(draw):
+    """Training rows that permute one row on the 0.01 grid of kdd41's rate
+    columns, so every row has the same norm: a query's distances to them
+    differ by a few grid steps, and the all-0.5 query's are equal in exact
+    arithmetic. The Gram key rounds differently from cdist, so only the
+    slack keeps the true k nearest among the candidates."""
+    d = draw(st.integers(2, 40))
+    n_train = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        base = np.array(draw(st.lists(st.integers(0, 100), min_size=d, max_size=d))) / 100
+    else:  # all-zero data: the slack is 0
+        base = np.zeros(d)
+    train = np.array([base[draw(st.permutations(range(d)))] for _ in range(n_train)])
+    n_grid = draw(st.integers(0, 3))
+    grid = np.array(draw(st.lists(st.integers(0, 100), min_size=n_grid * d, max_size=n_grid * d)))
+    queries = np.concatenate([
+        grid.reshape(n_grid, d) / 100,
+        np.full((1, d), 0.5) if base.any() else np.zeros((1, d)),
+        train[draw(st.lists(st.integers(0, n_train - 1), max_size=3))],
+    ])
+    k = draw(st.integers(1, n_train + 2))
+    return train, labels_for(draw, n_train), queries, k
+
+
+@given(near_tie_cases())
+def test_knn_near_ties_match_predecessors(case):
+    train, labels, queries, k = case
+    assert_stable_argsort_prefix(train, queries, k)
+    assert_matches_predecessors(train, labels, queries, k)
