@@ -38,10 +38,6 @@ class RawTable:
     def n_rows(self) -> int:
         return len(self.columns[0]) if self.columns else 0
 
-    @property
-    def feature_names(self) -> list[str]:
-        return [n for n in self.names if n != self.label_column]
-
     def label_values(self) -> np.ndarray:
         return self.columns[self.names.index(self.label_column)]
 
@@ -152,6 +148,8 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
             rows = [row for row in csv.reader(fh) if row]
     except FileNotFoundError as exc:
         raise DataError(f"dataset file not found: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read dataset file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"dataset file is not UTF-8 text: {path}") from exc
     except csv.Error as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -27,15 +27,21 @@ from .data import (
     prepare,
     subsample_raw,
 )
-from .evolution import EvolutionConfig, RunResult, run
+from .evolution import EvolutionConfig, RunResult, TraceRow, run
 from .infotheory import GainRatioMatrix, build_omega, load_omega, save_omega
 
 log = logging.getLogger("chainga")
 
 METRIC_FIELDS = ("accuracy", "precision", "recall", "f1_score", "feature_ratio", "fitness")
-AGGREGATE_STATS = ("median", "mean", "min", "max")
+AGGREGATE_STATS = {"median": statistics.median, "mean": statistics.fmean, "min": min, "max": max}
 
-# flag order: multi_pop, elite_interaction, diversity_crossover, diversity_mutation
+# ablation column -> EvolutionConfig flag; ABLATION_ROWS give the flags in this order
+FLAGS = {
+    "m_pop": "multi_pop",
+    "e_iter": "elite_interaction",
+    "d_cro": "diversity_crossover",
+    "d_mut": "diversity_mutation",
+}
 ABLATION_ROWS = (
     (False, False, False, False),
     (True, False, False, False),
@@ -44,7 +50,6 @@ ABLATION_ROWS = (
     (True, True, False, True),
     (True, True, True, True),
 )
-FLAG_FIELDS = ("m_pop", "e_iter", "d_cro", "d_mut")
 CHECK, CROSS = "✓", "×"
 
 
@@ -79,6 +84,8 @@ def _load_yaml(path: Path) -> dict:
             content = yaml.safe_load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(content, dict):
@@ -247,19 +254,10 @@ def result_row(result: RunResult) -> dict:
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:
-    out = []
-    for stat in AGGREGATE_STATS:
-        fn = {
-            "median": statistics.median,
-            "mean": statistics.fmean,
-            "min": min,
-            "max": max,
-        }[stat]
-        entry = {"stat": stat}
-        for metric in METRIC_FIELDS:
-            entry[metric] = _round6(fn([row[metric] for row in rows]))
-        out.append(entry)
-    return out
+    return [
+        {"stat": stat, **{metric: _round6(fn([row[metric] for row in rows])) for metric in METRIC_FIELDS}}
+        for stat, fn in AGGREGATE_STATS.items()
+    ]
 
 
 def write_table(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
@@ -268,29 +266,6 @@ def write_table(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(v) if isinstance(v, float) else v for k, v in row.items()})
-
-
-def read_table(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _trace_rows(results: list[RunResult]) -> list[dict]:
-    rows = []
-    for result in results:
-        for entry in result.trace:
-            rows.append(
-                {
-                    "seed": result.seed,
-                    "generation": entry.generation,
-                    "subpop": entry.subpop,
-                    "size": entry.size,
-                    "best_fitness": _round6(entry.best_fitness),
-                    "mean_fitness": _round6(entry.mean_fitness),
-                    "best_n_selected": entry.best_n_selected,
-                }
-            )
-    return rows
 
 
 def run_battery(
@@ -333,25 +308,21 @@ def _write_run_manifest(out_dir: Path, cfg: HarnessConfig, dataset: Dataset, ext
         yaml.safe_dump(manifest, fh, sort_keys=True)
 
 
-def _write_timings(out_dir: Path, results: list[RunResult]) -> None:
-    rows = [
-        {"seed": r.seed, "wall_time_s": f"{r.wall_time_s:.3f}", "classifier_evals": r.n_classifier_evals}
-        for r in results
-    ]
-    write_table(out_dir / "timings.csv", ["seed", "wall_time_s", "classifier_evals"], rows)
-
-
 PER_SEED_FIELDS = ["seed", *METRIC_FIELDS, "n_selected", "mask"]
+
+
+def _make_dir(directory: Path, purpose: str) -> None:
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {purpose}: {exc}") from exc
 
 
 def _set_up(cfg: HarnessConfig, out_dir) -> tuple[Path, Dataset, GainRatioMatrix, str]:
     """Create the output directory, then build the dataset and its
     gain-ratio matrix. Returns (directory, dataset, matrix, cache status)."""
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    _make_dir(out_dir, f"output directory {out_dir}")
     dataset = build_dataset(cfg)
     omega, cache_status = obtain_omega(dataset, cfg.omega_cache)
     return out_dir, dataset, omega, cache_status
@@ -376,38 +347,33 @@ def cmd_run(cfg: HarnessConfig, out_dir) -> list[RunResult]:
     write_table(out_dir / "aggregate.csv", ["stat", *METRIC_FIELDS], aggregate_rows(rows))
     write_table(
         out_dir / "trace.csv",
-        ["seed", "generation", "subpop", "size", "best_fitness", "mean_fitness", "best_n_selected"],
-        _trace_rows(results),
+        ["seed", *(f.name for f in fields(TraceRow))],
+        [{"seed": r.seed, **asdict(entry)} for r in results for entry in r.trace],
     )
-    _write_timings(out_dir, results)
+    write_table(
+        out_dir / "timings.csv",
+        ["seed", "wall_time_s", "classifier_evals"],
+        [{"seed": r.seed, "wall_time_s": f"{r.wall_time_s:.3f}", "classifier_evals": r.n_classifier_evals}
+         for r in results],
+    )
     _write_run_manifest(out_dir, cfg, dataset, {"command": "run", "omega_cache": cache_status})
     return results
-
-
-def _flag_cells(flags: tuple[bool, bool, bool, bool]) -> dict:
-    return {name: (CHECK if on else CROSS) for name, on in zip(FLAG_FIELDS, flags)}
 
 
 def cmd_ablation(cfg: HarnessConfig, out_dir) -> list[dict]:
     """Six-row ablation over the operator flags, medians across seeds."""
     out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
 
-    table = []
-    detail = []
+    table, detail = [], []
     for flags in ABLATION_ROWS:
-        overrides = dict(zip(
-            ("multi_pop", "elite_interaction", "diversity_crossover", "diversity_mutation"), flags
-        ))
-        medians, rows = _median_row(cfg, dataset, omega, **overrides)
-        table.append({**_flag_cells(flags), **medians})
-        for row in rows:
-            detail.append({**_flag_cells(flags), **row})
+        cells = {column: CHECK if on else CROSS for column, on in zip(FLAGS, flags)}
+        medians, rows = _median_row(cfg, dataset, omega, **dict(zip(FLAGS.values(), flags)))
+        table.append({**cells, **medians})
+        detail += [{**cells, **row} for row in rows]
 
-    write_table(out_dir / "ablation.csv", [*FLAG_FIELDS, *METRIC_FIELDS], table)
-    write_table(out_dir / "ablation_per_seed.csv", [*FLAG_FIELDS, *PER_SEED_FIELDS], detail)
-    _write_run_manifest(
-        out_dir, cfg, dataset, {"command": "ablation", "omega_cache": cache_status}
-    )
+    write_table(out_dir / "ablation.csv", [*FLAGS, *METRIC_FIELDS], table)
+    write_table(out_dir / "ablation_per_seed.csv", [*FLAGS, *PER_SEED_FIELDS], detail)
+    _write_run_manifest(out_dir, cfg, dataset, {"command": "ablation", "omega_cache": cache_status})
     return table
 
 
@@ -422,17 +388,14 @@ def cmd_sensitivity(cfg: HarnessConfig, parameter: str, values: list[int], out_d
     if len(set(values)) != len(values):
         raise ConfigError(f"sensitivity values repeat a value: {list(values)!r}")
 
-    # validate the whole sweep before burning any compute
-    sweeps = []
-    for value in values:
-        key = "subpopulations" if parameter == "M" else "elites"
-        sweeps.append((value, {key: int(value)}))
-        cfg.evolution_config(0, **sweeps[-1][1])
+    key = "subpopulations" if parameter == "M" else "elites"
+    for value in values:  # validate the whole sweep before burning any compute
+        cfg.evolution_config(0, **{key: int(value)})
 
     out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
     table = []
-    for value, overrides in sweeps:
-        medians, _ = _median_row(cfg, dataset, omega, **overrides)
+    for value in values:
+        medians, _ = _median_row(cfg, dataset, omega, **{key: int(value)})
         table.append({"parameter": parameter, "value": value, **medians})
 
     write_table(out_dir / "sensitivity.csv", ["parameter", "value", *METRIC_FIELDS], table)
@@ -445,18 +408,8 @@ def cmd_sensitivity(cfg: HarnessConfig, parameter: str, values: list[int], out_d
 
 
 def cmd_omega_dump(cfg: HarnessConfig, out_path) -> str:
-    """Precompute the gain-ratio matrix and dump it keyed by dataset digest."""
+    """Precompute the gain-ratio matrix and dump it keyed by dataset digest.
+    A dump that already matches the dataset is kept; returns the cache status."""
     out_path = Path(out_path)
-    try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write omega dump {out_path}: {exc}") from exc
-    dataset = build_dataset(cfg)
-    omega = build_omega(dataset)
-    digest = dataset.digest()
-    try:
-        save_omega(out_path, omega, digest)
-    except OSError as exc:
-        raise ConfigError(f"cannot write omega dump {out_path}: {exc}") from exc
-    log.info("omega dumped to %s (key=%s)", out_path, digest[:12])
-    return digest
+    _make_dir(out_path.parent, f"omega dump {out_path}")
+    return obtain_omega(build_dataset(cfg), out_path)[1]

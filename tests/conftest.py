@@ -1,3 +1,4 @@
+import csv
 import sys
 from pathlib import Path
 
@@ -30,6 +31,12 @@ _ACCEPTANCE_LINES: list[str] = []
 def dataset_path(stem: str) -> Path | None:
     path = DATA_DIR / f"{stem}.csv"
     return path if path.exists() else None
+
+
+def read_table(path) -> list[dict]:
+    """A harness CSV table as a list of rows of strings."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def record_criterion(number, status: str, detail: str) -> None:

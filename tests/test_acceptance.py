@@ -17,9 +17,9 @@ from chainga.classifier import FitnessEvaluator, combine_fitness
 from chainga.criterion import score, sweep_crossover, sweep_mutation
 from chainga.data import SyntheticSpec, generate_synthetic, load_csv, prepare, subsample_raw
 from chainga.evolution import EvolutionConfig, run
-from chainga.harness import cmd_ablation, cmd_run, load_run_config, read_table
+from chainga.harness import cmd_ablation, cmd_run, load_run_config
 from chainga.infotheory import build_omega, entropy, information_gain
-from conftest import dataset_path, record_criterion
+from conftest import dataset_path, read_table, record_criterion
 from oracles import (
     oracle_crossover,
     oracle_mutation,

@@ -24,7 +24,7 @@ def test_load_csv_basic(tmp_path):
     path = _write(tmp_path, "a,b,class\n1,x,yes\n2,y,no\n3,x,yes\n4,z,no\n")
     raw = load_csv(path, "class")
     assert raw.n_rows == 4
-    assert raw.feature_names == ["a", "b"]
+    assert [n for n in raw.names if n != "class"] == ["a", "b"]
     assert raw.is_numeric == [True, False, False]
 
 
@@ -87,7 +87,7 @@ def test_load_csv_sonar_shape():
                     "see scripts/fetch_datasets.py")
     raw = load_csv(path, "class", header=True)
     assert raw.n_rows == 208
-    assert len(raw.feature_names) == 60
+    assert len([n for n in raw.names if n != "class"]) == 60
     assert len(set(raw.label_values().astype(str))) == 2
 
 

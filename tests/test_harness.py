@@ -11,8 +11,8 @@ from chainga.harness import (
     cmd_run,
     cmd_sensitivity,
     load_run_config,
-    read_table,
 )
+from conftest import read_table
 
 EVOLUTION = {
     "population_size": 6,
@@ -122,6 +122,33 @@ def test_cli_missing_csv_is_data_error(tmp_path):
     manifest = {"type": "csv", "path": "absent.csv", "label_column": "class"}
     config_path = write_configs(tmp_path, manifest=manifest)
     assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+
+
+def _unreadable(path, kind):
+    path.unlink(missing_ok=True)
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes("dataset: dataset.yaml\n# caf\xe9\n".encode("latin-1"))
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+@pytest.mark.parametrize("target", ["run.yaml", "dataset.yaml"], ids=["config", "manifest"])
+def test_cli_unreadable_config_is_config_error(tmp_path, capsys, target, kind):
+    config_path = write_configs(tmp_path)
+    _unreadable(tmp_path / target, kind)
+    assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and target in err and "Traceback" not in err
+
+
+def test_cli_csv_path_on_a_directory_is_data_error(tmp_path, capsys):
+    (tmp_path / "table.csv").mkdir()
+    manifest = {"type": "csv", "path": "table.csv", "label_column": "class"}
+    config_path = write_configs(tmp_path, manifest=manifest)
+    assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "table.csv" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -496,6 +523,26 @@ def test_omega_dump_twice_identical(tmp_path):
     cmd_omega_dump(load_run_config(config_path), c1)
     cmd_omega_dump(load_run_config(config_path), c2)
     assert c1.read_bytes() == c2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "old, status",
+    [
+        (lambda tmp, dump: cmd_omega_dump(
+            load_run_config(write_configs(tmp / "other", manifest=dict(MANIFEST, seed=6))), dump
+        ), "mismatch-recomputed"),
+        (lambda tmp, dump: dump.write_bytes(b"chainga-omega-2\n{not json\n"), "mismatch-recomputed"),
+        (lambda tmp, dump: cmd_omega_dump(load_run_config(tmp / "run.yaml"), dump), "hit"),
+    ],
+    ids=["other-dataset", "corrupt", "same-dataset"],
+)
+def test_omega_dump_over_an_existing_file(tmp_path, old, status):
+    config_path = write_configs(tmp_path)
+    fresh, dump = tmp_path / "fresh.bin", tmp_path / "omega.bin"
+    cmd_omega_dump(load_run_config(config_path), fresh)
+    old(tmp_path, dump)
+    assert cmd_omega_dump(load_run_config(config_path), dump) == status
+    assert dump.read_bytes() == fresh.read_bytes()
 
 
 def test_bare_manifest_accepted_as_config(tmp_path):
