@@ -8,9 +8,9 @@ and average feature-feature redundancy:
 where sum_fc is the sum of fc over S and sum_ff the sum of ff over ordered
 pairs of distinct members. The sweeps evaluate J for every candidate in
 a few numpy passes: every single-bit flip from matrix-vector products,
-every single-point crossover cut (both children) from prefix sums over
-the positions where the parents differ. Candidates within a near-tie of
-the best are then re-scored from scratch, so that results match naive
+every single-point crossover cut (both children) from prefix sums that
+step only where the parents differ. Candidates within a near-tie of the
+best are then re-scored from scratch, so that results match naive
 enumeration bit for bit; a lone candidate needs no re-score. The sweeps
 return only the chosen cut or site.
 """
@@ -62,18 +62,18 @@ def _break_tie(candidates: list[np.ndarray], omega: GainRatioMatrix) -> int:
 
 
 def _crossed_sums(a: np.ndarray, b: np.ndarray, omega: GainRatioMatrix) -> np.ndarray:
-    """(n_s, sum_fc, sum_ff) of both crossover children, shape (3, 2, m + 1).
+    """(n_s, sum_fc, sum_ff) of both crossover children, shape (3, 2, d).
 
-    Cuts that cross the same number c of the m differing positions give the
-    same children, so column c stands for all of them; row 0 is
-    a[:k] + b[k:], row 1 is b[:k] + a[k:]. Crossing differing position t
-    toggles it in both children and moves each child's sum_ff by t's pair
-    weight with the child's members at that moment: its start parent (b for
-    row 0, a for row 1) with the earlier differing positions swapped to the
-    other parent.
+    Column k holds the children of cut k; row 0 is a[:k] + b[k:], row 1 is
+    b[:k] + a[k:]. Crossing differing position t toggles it in both
+    children and moves each child's sum_ff by t's pair weight with the
+    child's members at that moment: its start parent (b for row 0, a for
+    row 1) with the earlier differing positions swapped to the other parent.
+    The steps are zero where the parents agree, and adding 0.0 leaves a
+    float unchanged, so every cut of a run of equal children gets the same
+    sums bit for bit.
     """
     fc, ff = omega.fc, omega.ff
-    diff = np.flatnonzero(a != b)
     start = np.stack([b, a]).astype(np.float64)
     pair = start @ ff + start @ ff.T  # weight of each feature with each start, both orders
     turn = start[1] - start[0]  # +1 where a alone has the bit, -1 where b alone has it
@@ -83,7 +83,7 @@ def _crossed_sums(a: np.ndarray, b: np.ndarray, omega: GainRatioMatrix) -> np.nd
     sign = np.stack([turn, -turn])
     steps = np.stack([sign, sign * fc, sign * pair + turn * earlier])
     base = np.stack([start.sum(axis=1), start @ fc, 0.5 * (start * pair).sum(axis=1)])
-    return np.cumsum(np.concatenate([base[..., None], steps[..., diff]], axis=-1), axis=-1)
+    return np.cumsum(np.concatenate([base[..., None], steps[..., :-1]], axis=-1), axis=-1)
 
 
 def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> int:
@@ -101,17 +101,16 @@ def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> int:
     if np.array_equal(a, b):
         return 1
 
-    n, sum_fc, sum_ff = _crossed_sums(a, b, omega)
+    n, sum_fc, sum_ff = _crossed_sums(a, b, omega)[..., 1:]
     # n_s + sum_ff >= 1 for a non-empty child; the floor only guards empty ones
     merit = np.where(n > 0, sum_fc / np.sqrt(np.maximum(n + sum_ff, 1.0)), 0.0)
-    # the children at cut k are column crossed[k - 1]: differing positions before k
-    crossed = np.searchsorted(np.flatnonzero(a != b), np.arange(1, d))
-    approx = merit[:, crossed]
-    near = approx >= approx.max() - _NEAR_TIE
-    cuts = np.flatnonzero(near.any(axis=0))
-    _, first = np.unique(crossed[cuts], return_index=True)  # smallest cut per pair of children
+    near = merit >= merit.max() - _NEAR_TIE
+    # cut k starts a run of equal children when k = 1 or position k - 1 differs
+    first = a[:-1] != b[:-1]
+    first[0] = True
+    cuts = np.flatnonzero(near.any(axis=0) & first)
     # (cut, row) of each near child in cut order; row 0 is a[:k] + b[k:]
-    picks = [(i + 1, row) for i in cuts[first].tolist() for row in np.flatnonzero(near[:, i]).tolist()]
+    picks = [(i + 1, row) for i in cuts.tolist() for row in np.flatnonzero(near[:, i]).tolist()]
     parents = (a, b)
     children = [np.concatenate([parents[row][:k], parents[1 - row][k:]]) for k, row in picks]
     return picks[_break_tie(children, omega)][0]

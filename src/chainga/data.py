@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -129,13 +130,6 @@ class SyntheticSpec:
         return self.n_informative + self.n_redundant + self.n_noise
 
 
-def _parse_number(token: str) -> float | None:
-    try:
-        return float(token)
-    except ValueError:
-        return None
-
-
 def load_csv(path, label_column: str, header: bool = True) -> RawTable:
     """Load a comma-separated table, typing each column numeric when every
     present entry parses as a number and categorical otherwise.
@@ -144,8 +138,11 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
     (numeric) or mode (categorical) and counted in ``RawTable.imputed``.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+        if "\x00" in text:  # numpy strings drop trailing NULs, merging categories
+            raise DataError(f"dataset file holds a NUL character: {path}")
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     except FileNotFoundError as exc:
         raise DataError(f"dataset file not found: {path}") from exc
     except OSError as exc:
@@ -174,35 +171,38 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
                 f"ragged row {i + (2 if header else 1)} in {path}: "
                 f"expected {width} fields, got {len(row)}"
             )
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise DataError(f"header of {path} repeats column name(s) {', '.join(map(repr, repeated))}")
     if label_column not in names:
         raise DataError(f"label column {label_column!r} not present in {path}")
 
-    cells = [[row[j].strip() for row in body] for j in range(width)]
     columns: list[np.ndarray] = []
     is_numeric: list[bool] = []
     imputed: dict[str, int] = {}
-    for name, col in zip(names, cells):
-        present = [v for v in col if v.lower() not in MISSING_TOKENS]
-        n_missing = len(col) - len(present)
-        numeric = bool(present) and all(_parse_number(v) is not None for v in present)
-        if numeric:
-            values = np.array(
-                [_parse_number(v) if v.lower() not in MISSING_TOKENS else np.nan for v in col],
-                dtype=np.float64,
-            )
-            if np.count_nonzero(np.isfinite(values)) != len(present):  # inf, 1e999, -nan
-                raise DataError(f"column {name!r} in {path} holds a non-finite number")
-            if n_missing:
-                values[np.isnan(values)] = float(np.median(values[~np.isnan(values)]))
-        else:
-            if not present:
-                raise DataError(f"column {name!r} in {path} is entirely missing")
-            uniq, counts = np.unique(np.array(present, dtype=object), return_counts=True)
-            mode = uniq[np.argmax(counts)]
-            values = np.array(
-                [v if v.lower() not in MISSING_TOKENS else mode for v in col], dtype=object
-            )
+    for name, col in zip(names, zip(*body)):
+        cells = [v.strip() for v in col]
+        missing = [v.lower() in MISSING_TOKENS for v in cells]
+        n_missing = sum(missing)
+        present = [v for v, m in zip(cells, missing) if not m] if n_missing else cells
+        if not present:
+            raise DataError(f"column {name!r} in {path} is entirely missing")
+        try:
+            values = np.array([float(v) for v in present])
+        except ValueError:  # a text cell: the column is categorical
+            values = np.array(present, dtype=object)
+        numeric = values.dtype != object
+        if numeric and not np.isfinite(values).all():  # inf, 1e999, -nan
+            raise DataError(f"column {name!r} in {path} holds a non-finite number")
         if n_missing:
+            if numeric:
+                fill = np.median(values)
+            else:
+                uniq, counts = np.unique(values, return_counts=True)
+                fill = uniq[np.argmax(counts)]  # the smallest of the most frequent
+            full = np.full(len(cells), fill, dtype=values.dtype)
+            full[~np.array(missing)] = values
+            values = full
             imputed[name] = n_missing
         columns.append(values)
         is_numeric.append(numeric)
@@ -268,11 +268,7 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
     if bins < 2:
         raise DataError(f"bins must be >= 2, got {bins}")
 
-    label_raw = raw.label_values()
-    class_names = sorted(str(v) for v in np.unique(label_raw.astype(str)))
-    class_code = {name: i for i, name in enumerate(class_names)}
-    y = np.array([class_code[str(v)] for v in label_raw], dtype=np.int64)
-
+    class_names, y = np.unique(raw.label_values().astype(str), return_inverse=True)
     split = _stratified_split(y, len(class_names), split_seed)
     train = split == TRAIN
 
@@ -289,10 +285,9 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
         if numeric:
             values = col.astype(np.float64)
         else:
-            cats = sorted(str(v) for v in np.unique(col.astype(str)))
-            code = {c: i for i, c in enumerate(cats)}
-            values = np.array([code[str(v)] for v in col], dtype=np.float64)
-            X_disc[:, j] = values.astype(np.int64)
+            codes = np.unique(col.astype(str), return_inverse=True)[1]
+            values = codes.astype(np.float64)
+            X_disc[:, j] = codes
 
         ref = values[train] if train.any() else values
         lo, hi = float(ref.min()), float(ref.max())
@@ -304,7 +299,7 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
                 X_disc[:, j] = np.clip(idx, 0, bins - 1)
         # constant training column: X_cont stays 0, and X_disc too if numeric
 
-    return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names, bins)
+    return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names.tolist(), bins)
 
 
 def generate_synthetic(spec: SyntheticSpec, bins: int = 10) -> Dataset:

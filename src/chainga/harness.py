@@ -211,6 +211,7 @@ def obtain_omega(dataset: Dataset, cache_path: Path | None) -> tuple[GainRatioMa
     digest = dataset.digest()
     status = "miss-created"
     try:
+        cache_path.parent.mkdir(parents=True, exist_ok=True)
         if cache_path.exists():
             status = "mismatch-recomputed"
             try:
@@ -223,7 +224,6 @@ def obtain_omega(dataset: Dataset, cache_path: Path | None) -> tuple[GainRatioMa
                     return omega, "hit"
                 log.info("omega cache key mismatch; recomputing")
         omega = build_omega(dataset)
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
         save_omega(cache_path, omega, digest)
     except OSError as exc:
         raise ConfigError(f"cannot use omega cache {cache_path}: {exc}") from exc

@@ -4,12 +4,15 @@ Everything here is deliberately naive (Counter-based entropies, double
 loops, per-candidate enumeration) or is the loop-based predecessor of an
 optimised kernel. Nothing shares code with the package beyond ``score``
 and its near-tie tolerance, except ``serial_generation``, which replays
-the GA's own operators one chain step at a time. The sweep oracles return
+the GA's own operators one chain step at a time, and the data-layer
+predecessors, which build the package's own tables with its missing
+tokens and its stratified split. The sweep oracles return
 (index, merit); the sweeps themselves return only the index.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 
@@ -17,6 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from chainga.criterion import _NEAR_TIE, score, sweep_crossover
+from chainga.data import MISSING_TOKENS, TRAIN, DataError, Dataset, RawTable, _stratified_split
 from chainga.evolution import Chromosome, _repair, _stream, mutation_step
 
 
@@ -353,3 +357,132 @@ def serial_generation(subpops, generation, omega, config, evaluate):
                 ch.fitness = evaluate(ch.genes)
                 evaluated.append(ch)
     return evaluated
+
+
+def _parse_number(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def two_pass_load_csv(path, label_column: str, header: bool = True) -> RawTable:
+    """The predecessor of ``load_csv``: a transposed copy of the stripped
+    cells, each present cell float-parsed once to type its column and again
+    to build it, and the missing tokens matched by lower-casing each cell
+    up to three times. It reads the file as plain UTF-8, so a byte-order
+    mark stays in the first name, and it accepts NULs and repeated names."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except FileNotFoundError as exc:
+        raise DataError(f"dataset file not found: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read dataset file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset file is not UTF-8 text: {path}") from exc
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV in {path}: {exc}") from exc
+
+    if not rows:
+        raise DataError(f"empty table: {path}")
+
+    if header:
+        names = [c.strip() for c in rows[0]]
+        body = rows[1:]
+    else:
+        names = [f"f{i}" for i in range(len(rows[0]))]
+        body = rows
+    if not body:
+        raise DataError(f"table has a header but no data rows: {path}")
+
+    width = len(names)
+    for i, row in enumerate(body):
+        if len(row) != width:
+            raise DataError(
+                f"ragged row {i + (2 if header else 1)} in {path}: "
+                f"expected {width} fields, got {len(row)}"
+            )
+    if label_column not in names:
+        raise DataError(f"label column {label_column!r} not present in {path}")
+
+    cells = [[row[j].strip() for row in body] for j in range(width)]
+    columns: list[np.ndarray] = []
+    is_numeric: list[bool] = []
+    imputed: dict[str, int] = {}
+    for name, col in zip(names, cells):
+        present = [v for v in col if v.lower() not in MISSING_TOKENS]
+        n_missing = len(col) - len(present)
+        numeric = bool(present) and all(_parse_number(v) is not None for v in present)
+        if numeric:
+            values = np.array(
+                [_parse_number(v) if v.lower() not in MISSING_TOKENS else np.nan for v in col],
+                dtype=np.float64,
+            )
+            if np.count_nonzero(np.isfinite(values)) != len(present):  # inf, 1e999, -nan
+                raise DataError(f"column {name!r} in {path} holds a non-finite number")
+            if n_missing:
+                values[np.isnan(values)] = float(np.median(values[~np.isnan(values)]))
+        else:
+            if not present:
+                raise DataError(f"column {name!r} in {path} is entirely missing")
+            uniq, counts = np.unique(np.array(present, dtype=object), return_counts=True)
+            mode = uniq[np.argmax(counts)]
+            values = np.array(
+                [v if v.lower() not in MISSING_TOKENS else mode for v in col], dtype=object
+            )
+        if n_missing:
+            imputed[name] = n_missing
+        columns.append(values)
+        is_numeric.append(numeric)
+
+    label_values = columns[names.index(label_column)]
+    if len(np.unique(label_values.astype(str))) < 2:
+        raise DataError(f"label column {label_column!r} has fewer than 2 distinct values")
+
+    return RawTable(names, columns, is_numeric, label_column, imputed)
+
+
+def dict_prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
+    """The predecessor of ``prepare``: class and category codes from a
+    sorted list of the distinct strings, a dict and a per-row lookup."""
+    if bins < 2:
+        raise DataError(f"bins must be >= 2, got {bins}")
+
+    label_raw = raw.label_values()
+    class_names = sorted(str(v) for v in np.unique(label_raw.astype(str)))
+    class_code = {name: i for i, name in enumerate(class_names)}
+    y = np.array([class_code[str(v)] for v in label_raw], dtype=np.int64)
+
+    split = _stratified_split(y, len(class_names), split_seed)
+    train = split == TRAIN
+
+    feat_cols = [
+        (name, col, num)
+        for name, col, num in zip(raw.names, raw.columns, raw.is_numeric)
+        if name != raw.label_column
+    ]
+    n, d = raw.n_rows, len(feat_cols)
+    X_cont = np.zeros((n, d), dtype=np.float64)
+    X_disc = np.zeros((n, d), dtype=np.int64)
+
+    for j, (_, col, numeric) in enumerate(feat_cols):
+        if numeric:
+            values = col.astype(np.float64)
+        else:
+            cats = sorted(str(v) for v in np.unique(col.astype(str)))
+            code = {c: i for i, c in enumerate(cats)}
+            values = np.array([code[str(v)] for v in col], dtype=np.float64)
+            X_disc[:, j] = values.astype(np.int64)
+
+        ref = values[train] if train.any() else values
+        lo, hi = float(ref.min()), float(ref.max())
+        span = hi - lo
+        if span > 0:
+            X_cont[:, j] = np.clip((values - lo) / span, 0.0, 1.0)
+            if numeric:
+                idx = np.floor((values - lo) / (span / bins)).astype(np.int64)
+                X_disc[:, j] = np.clip(idx, 0, bins - 1)
+        # constant training column: X_cont stays 0, and X_disc too if numeric
+
+    return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names, bins)

@@ -80,6 +80,19 @@ def test_load_csv_imputes_and_reports(tmp_path):
     assert raw.columns[1].tolist() == ["x", "y", "y", "y"]  # mode
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("class,a\nyes,1\nno,2\n".encode("utf-8-sig"))
+    assert load_csv(path, "class").names == ["class", "a"]
+
+
+@pytest.mark.parametrize("header", ["a,a,class", "class,x,class"])
+def test_load_csv_repeated_column_name_is_data_error(tmp_path, header):
+    path = _write(tmp_path, f"{header}\n1,?,yes\n?,2,no\n3,4,yes\n")
+    with pytest.raises(DataError, match="repeats column name"):
+        load_csv(path, "class")
+
+
 def test_load_csv_sonar_shape():
     path = dataset_path("sonar")
     if path is None:

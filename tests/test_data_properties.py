@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainga.data import MISSING_TOKENS, TEST, TRAIN, VAL, DataError, RawTable, load_csv, prepare, subsample_raw
+from oracles import dict_prepare, two_pass_load_csv
 
 
 @st.composite
@@ -113,3 +114,77 @@ def test_load_csv_and_prepare_properties(table, bins, split_seed):
         rows = ds.y == c
         if np.count_nonzero(rows) >= 3:
             assert set(ds.split[rows].tolist()) == {TRAIN, VAL, TEST}
+
+
+# cells for the comparison with the predecessors: mixed-case missing tokens,
+# non-ASCII whitespace (no-break, em and ideographic spaces, the line and
+# unit separators, NEL), non-finite spellings and an underscore digit group
+NUMBERS = ["0", "1", "2.5", "-3e2", "1_000", "-0", "\xa07\u2003", "\u2028 4", "\u30005", "1e999", "inf", "-nan"]
+WORDS = ["a", "b", "B", "x y", " a\u3000", "\x85b\x1f", "\xe9", "inf", "1"]
+TOKENS = ["", "?", "NA", "nA", "N/a", "NaN", "nAN", "NULL", "Null", " ? ", " na "]
+LABELS = {"words": ["p", "q", "r", "P"], "numbers": ["0", "1", "1.0", "2", "-0", "2e0"]}
+
+
+@st.composite
+def predecessor_tables(draw):
+    """CSV rows (header first) of two to four columns and five to twenty-five
+    rows; each column draws its cells from a small pool, so ties, constant
+    columns and missing or non-finite cells are common."""
+    n = draw(st.integers(5, 25))
+    pools = [NUMBERS, WORDS, NUMBERS[:3], WORDS[:2], ["7"], ["k"]]
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = draw(st.sampled_from(pools))
+        pool = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        pool += draw(st.lists(st.sampled_from(TOKENS), max_size=2))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    labels = draw(st.lists(st.sampled_from(LABELS[draw(st.sampled_from(sorted(LABELS)))]), min_size=n, max_size=n))
+    header = [f"f{j}" for j in range(len(columns))] + ["class"]
+    return [header, *map(list, zip(*columns, labels))]
+
+
+def _outcome(load, prep, path, bins, split_seed):
+    try:
+        raw = load(path, "class")
+    except DataError as exc:
+        return str(exc), None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the small-class fallback warns
+        return raw, prep(raw, bins=bins, split_seed=split_seed)
+
+
+# a tied mode (a and b four times each, two missing) and a column constant on
+# the training rows only (its 9 sits on a test row at split seed 0)
+TIED = [["f0", "f1", "class"]] + [
+    [c, v, y] for c, v, y in zip("ab?ab" * 2, "1111111191", "pqpqpqpqpq")
+]
+# a numeric label column, mixed-case tokens, "1_000", "-0" and a text "inf"
+NUMERIC_LABEL = [["f0", "f1", "class"]] + [
+    [x, w, y] for x, w, y in zip(NUMBERS[:6] + TOKENS[1:7], WORDS + TOKENS[:3], LABELS["numbers"] * 2)
+]
+
+
+@example(TIED, 3, 0)
+@example(NUMERIC_LABEL, 4, 1)
+@example([["f0", "class"], ["1", "p"], ["1e999", "q"], ["?", "p"]], 2, 0)
+@example([["f0", "class"], ["-nan", "p"], ["2", "q"], ["NULL", "p"]], 2, 0)
+@given(predecessor_tables(), st.integers(2, 6), st.integers(0, 2))
+def test_load_csv_and_prepare_match_their_predecessors(rows, bins, split_seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+        raw, ds = _outcome(load_csv, prepare, path, bins, split_seed)
+        ref_raw, ref_ds = _outcome(two_pass_load_csv, dict_prepare, path, bins, split_seed)
+    if ref_ds is None:
+        assert raw == ref_raw  # the same data error
+        return
+    assert (raw.names, raw.label_column, raw.is_numeric, raw.imputed) == (
+        ref_raw.names, ref_raw.label_column, ref_raw.is_numeric, ref_raw.imputed)
+    for column, ref in zip(raw.columns, ref_raw.columns, strict=True):
+        assert column.dtype == ref.dtype and column.tolist() == ref.tolist()
+        assert column.dtype == object or column.tobytes() == ref.tobytes()  # -0.0 too
+    for view in ("X_cont", "X_disc", "y", "split"):
+        a, b = getattr(ds, view), getattr(ref_ds, view)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (ds.feature_names, ds.class_names, ds.bins) == (ref_ds.feature_names, ref_ds.class_names, ref_ds.bins)
+    assert ds.digest() == ref_ds.digest()

@@ -178,6 +178,18 @@ def test_cli_bad_csv_is_data_error(tmp_path, capsys, cell, encoding, error):
         assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", [1, 2], ids=["category", "label"])
+def test_cli_nul_in_csv_is_data_error(tmp_path, capsys, column):
+    rows = [["a", "b", "class"]] + [[str(i), "uv"[i % 3 > 0], "xy"[i % 2]] for i in range(12)]
+    rows[6][column] += "\x00"  # numpy strings drop a trailing NUL
+    (tmp_path / "table.csv").write_text("\n".join(map(",".join, rows)) + "\n", encoding="utf-8")
+    manifest = {"type": "csv", "path": "table.csv", "label_column": "class"}
+    config_path = write_configs(tmp_path, manifest=manifest)
+    assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "NUL" in err and "table.csv" in err and "Traceback" not in err
+
+
 def test_cli_too_few_rows_for_every_partition_is_data_error(tmp_path, capsys):
     (tmp_path / "table.csv").write_text("a,b,class\n1,2,x\n2,3,y\n4,5,x\n6,7,y\n")
     manifest = {"type": "csv", "path": "table.csv", "label_column": "class"}
@@ -191,12 +203,15 @@ def test_cli_too_few_rows_for_every_partition_is_data_error(tmp_path, capsys):
     [lambda tmp: tmp, lambda tmp: tmp / "run.yaml" / "omega.bin"],
     ids=["existing-directory", "under-a-file"],
 )
-def test_cli_unusable_omega_cache_is_config_error(tmp_path, capsys, cache):
+def test_cli_unusable_omega_cache_is_config_error(tmp_path, capsys, monkeypatch, cache):
     config_path = write_configs(tmp_path)
+    built = []
+    monkeypatch.setattr(harness, "build_omega", lambda dataset: built.append(dataset))
     args = ["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
             "--omega-cache", str(cache(tmp_path))]
     assert cli.main(args) == 1
     assert "config error:" in capsys.readouterr().err
+    assert not built  # the cache path fails before the matrix is built
 
 
 def test_cli_run_out_on_an_existing_file_is_config_error(tmp_path, capsys):
