@@ -7,12 +7,13 @@ and average feature-feature redundancy:
 
 where sum_fc is the sum of fc over S and sum_ff the sum of ff over ordered
 pairs of distinct members. The sweeps evaluate J for every candidate in
-a few numpy passes: every single-bit flip from matrix-vector products,
+a few numpy passes: every single-bit flip from one matrix-vector product,
 every single-point crossover cut (both children) from prefix sums that
-step only where the parents differ. Candidates within a near-tie of the
-best are then re-scored from scratch, so that results match naive
-enumeration bit for bit; a lone candidate needs no re-score. The sweeps
-return only the chosen cut or site.
+step only where the parents differ. One crossover sweep takes a whole
+batch of parent pairs, so a generation phase reads Omega in one matrix
+product. Candidates within a near-tie of a pair's best are then re-scored
+from scratch, so that results match naive enumeration bit for bit; a lone
+candidate needs no re-score. The sweeps return only the chosen cut or site.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.blas import dtrmv
+from scipy.linalg.blas import dtrmm
 
 from .infotheory import GainRatioMatrix
 
@@ -31,8 +32,8 @@ _NEAR_TIE = 1e-9
 
 def _as_mask(mask, d: int) -> np.ndarray:
     m = np.asarray(mask)
-    if m.size != d:
-        raise ValueError(f"mask length {m.size} does not match feature count {d}")
+    if m.shape[-1:] != (d,):
+        raise ValueError(f"mask shape {m.shape} does not end in the feature count {d}")
     return m.astype(bool)
 
 
@@ -62,7 +63,7 @@ def _break_tie(candidates: list[np.ndarray], omega: GainRatioMatrix) -> int:
 
 
 def _crossed_sums(a: np.ndarray, b: np.ndarray, omega: GainRatioMatrix) -> np.ndarray:
-    """(n_s, sum_fc, sum_ff) of both crossover children, shape (3, 2, d).
+    """(n_s, sum_fc, sum_ff) of both children of each (P, d) parent pair, shape (3, 2, P, d).
 
     Column k holds the children of cut k; row 0 is a[:k] + b[k:], row 1 is
     b[:k] + a[k:]. Crossing differing position t toggles it in both
@@ -73,47 +74,59 @@ def _crossed_sums(a: np.ndarray, b: np.ndarray, omega: GainRatioMatrix) -> np.nd
     float unchanged, so every cut of a run of equal children gets the same
     sums bit for bit.
     """
-    fc, ff = omega.fc, omega.ff
+    fc, weights = omega.fc, omega.pair_weights
     start = np.stack([b, a]).astype(np.float64)
-    pair = start @ ff + start @ ff.T  # weight of each feature with each start, both orders
+    # weight of each feature with each start, both orders: one GEMM for all pairs
+    pair = (start.reshape(-1, omega.d) @ weights).reshape(start.shape)
     turn = start[1] - start[0]  # +1 where a alone has the bit, -1 where b alone has it
-    # tril(ff + ff.T) @ turn: the swap of the earlier positions (the diagonal is
-    # zero); BLAS reads ff.T as ff's own buffer in Fortran order, without a copy
-    earlier = dtrmv(ff.T, turn, trans=1) + dtrmv(ff.T, turn, lower=1)
+    # turn @ triu(weights): the swap of the earlier positions (the diagonal is zero),
+    # as tril(weights) @ turn.T; BLAS reads weights.T in Fortran order, without a copy
+    earlier = dtrmm(1.0, weights.T, turn.T, lower=1).T
     sign = np.stack([turn, -turn])
     steps = np.stack([sign, sign * fc, sign * pair + turn * earlier])
-    base = np.stack([start.sum(axis=1), start @ fc, 0.5 * (start * pair).sum(axis=1)])
-    return np.cumsum(np.concatenate([base[..., None], steps[..., :-1]], axis=-1), axis=-1)
+    base = np.stack([start.sum(axis=-1), start @ fc, 0.5 * (start * pair).sum(axis=-1)])
+    sums = np.concatenate([base[..., None], steps[..., :-1]], axis=-1)
+    return np.cumsum(sums, axis=-1, out=sums)
 
 
-def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> int:
-    """Best single-point crossover cut for two parents.
+def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> int | np.ndarray:
+    """Best single-point crossover cut for each pair of parents.
 
     The cut k in [1, d-1] splits both parents into prefix a[:k] + suffix
-    b[k:] (and vice versa); returns the smallest k maximizing the better
-    child's merit.
+    b[k:] (and vice versa); each pair gets the smallest k maximizing the
+    better child's merit. Parents of shape (..., d) give cuts of shape
+    (...), so one pair gives an int.
     """
     d = omega.d
     if d < 2:
         raise ValueError("crossover sweep needs at least 2 features")
-    a = _as_mask(parent_a, d)
-    b = _as_mask(parent_b, d)
-    if np.array_equal(a, b):
-        return 1
-
+    a, b = _as_mask(parent_a, d), _as_mask(parent_b, d)
+    shape = a.shape[:-1]
+    a, b = a.reshape(-1, d), b.reshape(-1, d)
+    cuts = np.ones(len(a), dtype=np.int64)  # equal parents: every cut gives them back
+    differ = np.flatnonzero((a != b).any(axis=1))
+    a, b = a[differ], b[differ]
     n, sum_fc, sum_ff = _crossed_sums(a, b, omega)[..., 1:]
     # n_s + sum_ff >= 1 for a non-empty child; the floor only guards empty ones
-    merit = np.where(n > 0, sum_fc / np.sqrt(np.maximum(n + sum_ff, 1.0)), 0.0)
-    near = merit >= merit.max() - _NEAR_TIE
+    root = np.sqrt(np.maximum(np.add(n, sum_ff, out=sum_ff), 1.0, out=sum_ff), out=sum_ff)
+    merit = np.divide(sum_fc, root, out=sum_fc)
+    merit[n == 0] = 0.0
+    near = merit >= merit.max(axis=(0, 2), keepdims=True) - _NEAR_TIE
     # cut k starts a run of equal children when k = 1 or position k - 1 differs
-    first = a[:-1] != b[:-1]
-    first[0] = True
-    cuts = np.flatnonzero(near.any(axis=0) & first)
-    # (cut, row) of each near child in cut order; row 0 is a[:k] + b[k:]
-    picks = [(i + 1, row) for i in cuts.tolist() for row in np.flatnonzero(near[:, i]).tolist()]
-    parents = (a, b)
-    children = [np.concatenate([parents[row][:k], parents[1 - row][k:]]) for k, row in picks]
-    return picks[_break_tie(children, omega)][0]
+    first = a[:, :-1] != b[:, :-1]
+    first[:, 0] = True
+    # (pair, cut, row) of each near child, in cut order within a pair
+    pair, cut, row = np.nonzero((near & first).transpose(1, 2, 0))
+    cut += 1
+    counts = np.bincount(pair, minlength=len(a))
+    heads = np.cumsum(counts) - counts
+    cuts[differ] = cut[heads]  # each pair's first near child; a lone one wins unscored
+    for p in np.flatnonzero(counts > 1).tolist():
+        picks = slice(heads[p], heads[p] + counts[p])
+        children = [np.concatenate([(a, b)[r][p, :k], (a, b)[1 - r][p, k:]])
+                    for k, r in zip(cut[picks], row[picks])]
+        cuts[differ[p]] = cut[picks][_break_tie(children, omega)]
+    return int(cuts[0]) if not shape else cuts.reshape(shape)
 
 
 def sweep_mutation(mask, omega: GainRatioMatrix) -> int:
@@ -125,9 +138,8 @@ def sweep_mutation(mask, omega: GainRatioMatrix) -> int:
     """
     m = _as_mask(mask, omega.d)
     ind = m.astype(np.float64)
-    row = omega.ff @ ind
-    n, sum_fc, sum_ff = m.sum(), omega.fc @ ind, ind @ row
-    rowcol = row + omega.ff.T @ ind
+    rowcol = omega.pair_weights @ ind
+    n, sum_fc, sum_ff = m.sum(), omega.fc @ ind, 0.5 * (ind @ rowcol)
     with np.errstate(invalid="ignore", divide="ignore"):
         j_add = (sum_fc + omega.fc) / np.sqrt(n + 1 + sum_ff + rowcol)
         j_rem = (sum_fc - omega.fc) / np.sqrt(np.maximum(n - 1 + sum_ff - rowcol, 0.0))

@@ -40,7 +40,8 @@ class RawTable:
         return len(self.columns[0]) if self.columns else 0
 
     def label_values(self) -> np.ndarray:
-        return self.columns[self.names.index(self.label_column)]
+        labels = self.columns[self.names.index(self.label_column)]
+        return labels if labels.dtype == object else labels + 0.0  # -0.0 and 0.0: one class
 
 
 @dataclass
@@ -207,11 +208,10 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
         columns.append(values)
         is_numeric.append(numeric)
 
-    label_values = columns[names.index(label_column)]
-    if len(np.unique(label_values.astype(str))) < 2:
+    raw = RawTable(names, columns, is_numeric, label_column, imputed)
+    if len(np.unique(raw.label_values().astype(str))) < 2:
         raise DataError(f"label column {label_column!r} has fewer than 2 distinct values")
-
-    return RawTable(names, columns, is_numeric, label_column, imputed)
+    return raw
 
 
 def _allocate_811(count: int) -> tuple[int, int, int]:

@@ -210,15 +210,16 @@ def _crossover(
     closed), score every child in one batch, then keep the best of
     {incumbent, child A, child B} in slot j; fitness ties keep the
     incumbent, then prefer child A. Every slot is read before any is
-    written. Returns each step's two children."""
+    written. One sweep finds every guided cut, drawing nothing from the
+    streams. Returns each step's two children."""
+    parents = np.array([(subpops[i][j].genes, subpops[i][(j + 1) % len(subpops[i])].genes)
+                        for i, j in steps]).reshape(len(steps), 2, omega.d)
+    if config.diversity_crossover:
+        guided = sweep_crossover(parents[:, 0], parents[:, 1], omega).tolist()
     masks = []
-    for i, j in steps:
-        subpop, rng = subpops[i], rngs[i]
-        a, b = subpop[j].genes, subpop[(j + 1) % len(subpop)].genes
-        if config.diversity_crossover:
-            k = sweep_crossover(a, b, omega)
-        else:
-            k = int(rng.integers(1, omega.d))
+    for t, (i, _) in enumerate(steps):
+        (a, b), rng = parents[t], rngs[i]
+        k = guided[t] if config.diversity_crossover else int(rng.integers(1, omega.d))
         masks.append(_repair(np.concatenate([a[:k], b[k:]]), rng))
         masks.append(_repair(np.concatenate([b[:k], a[k:]]), rng))
     children = [Chromosome(genes, record) for genes, record in zip(masks, evaluate_many(masks))]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,13 @@ class GainRatioMatrix:
     @property
     def d(self) -> int:
         return len(self.fc)
+
+    @cached_property
+    def pair_weights(self) -> np.ndarray:
+        """ff + ff.T: the symmetric weight of each feature pair in sum_ff."""
+        weights = self.ff + self.ff.T
+        weights.setflags(write=False)
+        return weights
 
 
 def build_omega(dataset: Dataset, rows: np.ndarray | None = None) -> GainRatioMatrix:

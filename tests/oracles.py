@@ -6,8 +6,10 @@ optimised kernel. Nothing shares code with the package beyond ``score``
 and its near-tie tolerance, except ``serial_generation``, which replays
 the GA's own operators one chain step at a time, and the data-layer
 predecessors, which build the package's own tables with its missing
-tokens and its stratified split. The sweep oracles return
-(index, merit); the sweeps themselves return only the index.
+tokens and its stratified split, and the one-pair crossover sweep, which
+breaks near-ties with the package's ``_break_tie``. The sweep oracles
+return (index, merit), except that one-pair predecessor; the sweeps
+themselves return only the index.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import math
 from collections import Counter
 
 import numpy as np
+from scipy.linalg.blas import dtrmv
 from scipy.spatial.distance import cdist
 
-from chainga.criterion import _NEAR_TIE, score, sweep_crossover
+from chainga.criterion import _NEAR_TIE, _as_mask, _break_tie, score, sweep_crossover
 from chainga.data import MISSING_TOKENS, TRAIN, DataError, Dataset, RawTable, _stratified_split
 from chainga.evolution import Chromosome, _repair, _stream, mutation_step
+from chainga.infotheory import GainRatioMatrix
 
 
 def ref_entropy(values) -> float:
@@ -175,6 +179,63 @@ def loop_sweep_crossover(parent_a, parent_b, omega) -> tuple[int, float]:
     return k_star, best_j
 
 
+def pairwise_crossed_sums(a: np.ndarray, b: np.ndarray, omega: GainRatioMatrix) -> np.ndarray:
+    """Predecessor of ``criterion._crossed_sums``, one parent pair at a time:
+    (n_s, sum_fc, sum_ff) of both crossover children, shape (3, 2, d).
+
+    Column k holds the children of cut k; row 0 is a[:k] + b[k:], row 1 is
+    b[:k] + a[k:]. Crossing differing position t toggles it in both
+    children and moves each child's sum_ff by t's pair weight with the
+    child's members at that moment: its start parent (b for row 0, a for
+    row 1) with the earlier differing positions swapped to the other parent.
+    The steps are zero where the parents agree, and adding 0.0 leaves a
+    float unchanged, so every cut of a run of equal children gets the same
+    sums bit for bit.
+    """
+    fc, ff = omega.fc, omega.ff
+    start = np.stack([b, a]).astype(np.float64)
+    pair = start @ ff + start @ ff.T  # weight of each feature with each start, both orders
+    turn = start[1] - start[0]  # +1 where a alone has the bit, -1 where b alone has it
+    # tril(ff + ff.T) @ turn: the swap of the earlier positions (the diagonal is
+    # zero); BLAS reads ff.T as ff's own buffer in Fortran order, without a copy
+    earlier = dtrmv(ff.T, turn, trans=1) + dtrmv(ff.T, turn, lower=1)
+    sign = np.stack([turn, -turn])
+    steps = np.stack([sign, sign * fc, sign * pair + turn * earlier])
+    base = np.stack([start.sum(axis=1), start @ fc, 0.5 * (start * pair).sum(axis=1)])
+    return np.cumsum(np.concatenate([base[..., None], steps[..., :-1]], axis=-1), axis=-1)
+
+
+def pairwise_sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> int:
+    """Predecessor of ``sweep_crossover``, one parent pair per call: the
+    best single-point crossover cut for two parents.
+
+    The cut k in [1, d-1] splits both parents into prefix a[:k] + suffix
+    b[k:] (and vice versa); returns the smallest k maximizing the better
+    child's merit.
+    """
+    d = omega.d
+    if d < 2:
+        raise ValueError("crossover sweep needs at least 2 features")
+    a = _as_mask(parent_a, d)
+    b = _as_mask(parent_b, d)
+    if np.array_equal(a, b):
+        return 1
+
+    n, sum_fc, sum_ff = pairwise_crossed_sums(a, b, omega)[..., 1:]
+    # n_s + sum_ff >= 1 for a non-empty child; the floor only guards empty ones
+    merit = np.where(n > 0, sum_fc / np.sqrt(np.maximum(n + sum_ff, 1.0)), 0.0)
+    near = merit >= merit.max() - _NEAR_TIE
+    # cut k starts a run of equal children when k = 1 or position k - 1 differs
+    first = a[:-1] != b[:-1]
+    first[0] = True
+    cuts = np.flatnonzero(near.any(axis=0) & first)
+    # (cut, row) of each near child in cut order; row 0 is a[:k] + b[k:]
+    picks = [(i + 1, row) for i in cuts.tolist() for row in np.flatnonzero(near[:, i]).tolist()]
+    parents = (a, b)
+    children = [np.concatenate([parents[row][:k], parents[1 - row][k:]]) for k, row in picks]
+    return picks[_break_tie(children, omega)][0]
+
+
 def oracle_mutation(mask, omega):
     """Exhaustive flip enumeration, smallest-index tie-break, never
     emptying the mask unless it is the only option."""
@@ -194,8 +255,6 @@ def oracle_mutation(mask, omega):
 
 def random_omega(rng, d):
     """Random but structurally valid gain-ratio tables."""
-    from chainga.infotheory import GainRatioMatrix
-
     fc = rng.uniform(0.0, 1.0, size=d)
     ff = rng.uniform(0.0, 1.0, size=(d, d))
     np.fill_diagonal(ff, 0.0)
@@ -206,8 +265,6 @@ def loop_build_omega(dataset, rows=None):
     """The predecessor of ``build_omega``: one bincount and one pairwise
     ``.sum()`` entropy per feature, per (feature, class) pair and per
     feature pair, in a double loop over the pairs."""
-    from chainga.infotheory import GainRatioMatrix
-
     def codes(values):
         _, inverse = np.unique(values, return_inverse=True)
         return inverse, int(inverse.max()) + 1
@@ -371,7 +428,8 @@ def two_pass_load_csv(path, label_column: str, header: bool = True) -> RawTable:
     cells, each present cell float-parsed once to type its column and again
     to build it, and the missing tokens matched by lower-casing each cell
     up to three times. It reads the file as plain UTF-8, so a byte-order
-    mark stays in the first name, and it accepts NULs and repeated names."""
+    mark stays in the first name, and it accepts NULs and repeated names.
+    Like ``load_csv``, it counts label classes through ``label_values``."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -436,11 +494,10 @@ def two_pass_load_csv(path, label_column: str, header: bool = True) -> RawTable:
         columns.append(values)
         is_numeric.append(numeric)
 
-    label_values = columns[names.index(label_column)]
-    if len(np.unique(label_values.astype(str))) < 2:
+    raw = RawTable(names, columns, is_numeric, label_column, imputed)
+    if len(np.unique(raw.label_values().astype(str))) < 2:
         raise DataError(f"label column {label_column!r} has fewer than 2 distinct values")
-
-    return RawTable(names, columns, is_numeric, label_column, imputed)
+    return raw
 
 
 def dict_prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:

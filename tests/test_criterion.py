@@ -74,18 +74,19 @@ def test_crossed_sums_match_scratch_at_every_cut():
     rng = np.random.default_rng(13)
     for d in (2, 3, 25, 60):
         omega = random_omega(rng, d)
-        for _ in range(10):
-            a = rng.random(d) < 0.5
-            b = rng.random(d) < 0.5
-            b[0] = not a[0]  # at least one differing position
+        for pairs in (1, 1, 2, 5, 7):
+            a = rng.random((pairs, d)) < 0.5
+            b = rng.random((pairs, d)) < 0.5
+            b[:, 0] = ~a[:, 0]  # at least one differing position
             n, sum_fc, sum_ff = _crossed_sums(a, b, omega)
-            for k in range(1, d):
-                children = (np.concatenate([a[:k], b[k:]]), np.concatenate([b[:k], a[k:]]))
+            assert n.shape == (2, pairs, d)
+            for p, k in itertools.product(range(pairs), range(1, d)):
+                children = (np.concatenate([a[p, :k], b[p, k:]]), np.concatenate([b[p, :k], a[p, k:]]))
                 for row, child in enumerate(children):
                     fresh_n, fresh_fc, fresh_ff = subset_sums(child, omega)
-                    assert n[row, k] == fresh_n
-                    assert abs(sum_fc[row, k] - fresh_fc) < 1e-9
-                    assert abs(sum_ff[row, k] - fresh_ff) < 1e-9
+                    assert n[row, p, k] == fresh_n
+                    assert abs(sum_fc[row, p, k] - fresh_fc) < 1e-9
+                    assert abs(sum_ff[row, p, k] - fresh_ff) < 1e-9
 
 
 def test_sweep_crossover_matches_loop_predecessor():

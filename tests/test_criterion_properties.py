@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chainga.criterion import sweep_crossover, sweep_mutation
 from chainga.infotheory import GainRatioMatrix
-from oracles import oracle_crossover, oracle_mutation
+from oracles import oracle_crossover, oracle_mutation, pairwise_sweep_crossover
 
 GRID = (0.0, 0.1, 0.2, 0.25, 0.5, 1.0)
 
@@ -36,8 +36,8 @@ def masks(d):
 
 
 @st.composite
-def crossover_cases(draw):
-    omega = draw(omegas())
+def crossover_cases(draw, omega_cases=omegas()):
+    omega = draw(omega_cases)
     d = omega.d
     a = draw(masks(d))
     kind = draw(st.sampled_from(["random", "one-bit", "complement", "zero"]))
@@ -60,6 +60,24 @@ def crossover_cases(draw):
 def test_sweep_crossover_equals_exhaustive_oracle(case):
     a, b, omega = case
     assert sweep_crossover(a, b, omega) == oracle_crossover(a, b, omega)[0]
+
+
+@st.composite
+def crossover_batches(draw):
+    """(P, d) parents over one omega: each row a crossover case or two equal parents."""
+    omega = draw(omegas())
+    case = crossover_cases(st.just(omega)).map(lambda c: c[:2])
+    equal = masks(omega.d).map(lambda m: (m, m))
+    a, b = np.array(draw(st.lists(st.one_of(case, equal), min_size=1, max_size=6))).transpose(1, 0, 2)
+    return a, b, omega
+
+
+@given(crossover_batches())
+def test_sweep_crossover_batch_equals_pairwise_predecessor(batch):
+    a, b, omega = batch
+    cuts = sweep_crossover(a, b, omega)
+    assert cuts.shape == (len(a),)
+    assert cuts.tolist() == [pairwise_sweep_crossover(ra, rb, omega) for ra, rb in zip(a, b)]
 
 
 @st.composite

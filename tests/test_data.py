@@ -60,6 +60,20 @@ def test_load_csv_single_label_value(tmp_path):
         load_csv(path, "class")
 
 
+def test_numeric_labels_zero_and_minus_zero_are_one_class(tmp_path):
+    labels = ["0", "-0", "1"] * 10
+    path = _write(tmp_path, "a,class\n" + "".join(f"{i},{y}\n" for i, y in enumerate(labels)))
+    raw = load_csv(path, "class")
+    assert np.signbit(raw.columns[1]).sum() == 10  # the column itself is kept as read
+    ds = prepare(raw)
+    assert ds.class_names == ["0.0", "1.0"]
+    assert np.bincount(ds.y).tolist() == [20, 10]
+    assert sorted(set(subsample_raw(raw, 3, seed=0).label_values().tolist())) == [0.0, 1.0]
+    zeros = _write(tmp_path, "a,class\n1,0\n2,-0\n3,0\n", name="zeros.csv")
+    with pytest.raises(DataError, match="distinct"):
+        load_csv(zeros, "class")
+
+
 def test_load_csv_no_header(tmp_path):
     path = _write(tmp_path, "1,0,yes\n2,1,no\n", name="plain.csv")
     raw = load_csv(path, "f2", header=False)

@@ -1,4 +1,6 @@
+import itertools
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,15 +362,17 @@ def test_run_all_flags_off_is_single_population_random_ga(small_dataset):
 
 @pytest.fixture
 def crossover_events(monkeypatch) -> list:
-    """(k, parent A, parent B) of every guided crossover sweep, recorded
-    from outside the library."""
+    """(call, k, parent A, parent B) of every pair in every guided crossover
+    sweep, recorded from outside the library; call numbers the sweeps."""
     events = []
     sweep = evolution.sweep_crossover
+    calls = itertools.count()
 
     def recording(a, b, omega):
-        k = sweep(a, b, omega)
-        events.append((k, a.copy(), b.copy()))
-        return k
+        ks = sweep(a, b, omega)
+        call = next(calls)
+        events.extend((call, k, ra.copy(), rb.copy()) for k, ra, rb in zip(ks.tolist(), a, b))
+        return ks
 
     monkeypatch.setattr(evolution, "sweep_crossover", recording)
     return events
@@ -378,10 +382,15 @@ def test_run_guided_crossover_points_match_oracle(small_dataset, crossover_event
     omega = build_omega(small_dataset)
     cfg = EvolutionConfig(population_size=6, subpopulations=2, elites=1, generations=3, seed=19)
     run(small_dataset, cfg, omega=omega)
-    # 3 generations x 2 subpops x 3 chain steps, each sweeping once
+    # 3 generations x 2 subpops x 3 chain steps, each swept once as one row of a batch
     assert len(crossover_events) == 18
-    for k, a, b in crossover_events:
+    for _, k, a, b in crossover_events:
         assert k == oracle_crossover(a, b, omega)[0]
+    # per generation, one sweep of the inner steps and one of the ring closures
+    assert sorted({call for call, *_ in crossover_events}) == list(range(6))
+    crossover_events.clear()
+    run(small_dataset, replace(cfg, diversity_crossover=False), omega=omega)
+    assert crossover_events == []
 
 
 def test_run_migration_containment(small_dataset, migration_events):
