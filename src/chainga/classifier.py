@@ -119,8 +119,12 @@ def combine_fitness(acc: float, n_selected: int, n_features: int, alpha: float) 
     return (1.0 - alpha) * acc + alpha * (1.0 - n_selected / n_features)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitnessRecord:
+    """A scored mask: the GA's chromosome. Equal records have equal scores,
+    whatever their genes."""
+
+    genes: np.ndarray = field(compare=False)  # read-only
     fitness: float
     acc: float
     n_selected: int
@@ -149,6 +153,8 @@ class FitnessEvaluator:
         self._train_y = ds.y[ds.train_idx]
         self._val_X = ds.X_cont[ds.val_idx]
         self._val_y = ds.y[ds.val_idx]
+        self._test_X = ds.X_cont[ds.test_idx]
+        self._test_y = ds.y[ds.test_idx]
 
     def evaluate(self, mask: np.ndarray) -> FitnessRecord:
         mask = np.asarray(mask, dtype=bool)
@@ -156,15 +162,17 @@ class FitnessEvaluator:
         record = self.cache.get(key)
         if record is not None:
             return record
+        genes = mask.copy()
+        genes.setflags(write=False)
         n_selected = int(mask.sum())
         if n_selected == 0:
             # sentinel: never wins a comparison against a real subset
-            record = FitnessRecord(0.0, 0.0, 0)
+            record = FitnessRecord(genes, 0.0, 0.0, 0)
         else:
             pred = knn_predict(self._train_X[:, mask], self._train_y, self._val_X[:, mask], self.k)
             acc = float(np.mean(pred == self._val_y))
             record = FitnessRecord(
-                combine_fitness(acc, n_selected, self.dataset.d, self.alpha), acc, n_selected
+                genes, combine_fitness(acc, n_selected, self.dataset.d, self.alpha), acc, n_selected
             )
         self.cache[key] = record
         return record
@@ -184,11 +192,5 @@ class FitnessEvaluator:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any():
             raise ValueError("cannot score an empty feature subset")
-        ds = self.dataset
-        pred = knn_predict(
-            ds.X_cont[np.ix_(ds.train_idx, np.flatnonzero(mask))],
-            ds.y[ds.train_idx],
-            ds.X_cont[np.ix_(ds.test_idx, np.flatnonzero(mask))],
-            self.k,
-        )
-        return evaluate_metrics(ds.y[ds.test_idx], pred, ds.n_classes)
+        pred = knn_predict(self._train_X[:, mask], self._train_y, self._test_X[:, mask], self.k)
+        return evaluate_metrics(self._test_y, pred, self.dataset.n_classes)

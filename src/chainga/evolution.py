@@ -1,12 +1,14 @@
 """Chained multi-population GA engine with guided operators and elite migration.
 
-Each subpopulation is an ordered chain: every chromosome crosses over with
-its successor (closing the ring), the best of {incumbent, child A,
-child B} takes the slot, and a mutation pass follows. At the end of each
-generation the top elites of every subpopulation replace the worst
-chromosomes of the next one along the ring. The crossover cut and mutation
-site are chosen by the gain-ratio subset criterion when the diversity
-flags are on, and uniformly at random otherwise.
+A chromosome is the evaluator's ``FitnessRecord``: a read-only mask and
+its cached score. Each subpopulation is an ordered chain: every
+chromosome crosses over with its successor (closing the ring), the best
+of {incumbent, child A, child B} takes the slot, and a mutation pass
+follows. At the end of each generation the top elites of every
+subpopulation replace the worst chromosomes of the next one along the
+ring. The crossover cut and mutation site are chosen by the gain-ratio
+subset criterion when the diversity flags are on, and uniformly at
+random otherwise.
 """
 
 from __future__ import annotations
@@ -24,20 +26,6 @@ from .classifier import FitnessEvaluator, FitnessRecord, MetricBundle
 from .criterion import sweep_crossover, sweep_mutation
 from .data import Dataset
 from .infotheory import GainRatioMatrix, build_omega
-
-
-@dataclass
-class Chromosome:
-    genes: np.ndarray
-    fitness: FitnessRecord | None = None
-
-    def __post_init__(self):
-        self.genes = np.asarray(self.genes, dtype=bool)
-        self.genes.setflags(write=False)
-
-    @property
-    def n_selected(self) -> int:
-        return int(self.genes.sum())
 
 
 @dataclass
@@ -106,8 +94,7 @@ class TraceRow:
 
 @dataclass
 class RunResult:
-    best_mask: np.ndarray
-    best_fitness: FitnessRecord
+    best: FitnessRecord
     metrics: MetricBundle
     feature_ratio: float
     trace: list[TraceRow]
@@ -128,52 +115,42 @@ def _repair(genes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def init_population(
     d: int, config: EvolutionConfig, rng: np.random.Generator
-) -> list[list[Chromosome]]:
-    """Uniform random bit masks dealt into M chains of N/M chromosomes."""
-    m = config.effective_m
-    size = config.population_size // m
-    subpops = []
-    for _ in range(m):
-        chain = []
-        for _ in range(size):
-            genes = rng.integers(0, 2, size=d).astype(bool)
-            chain.append(Chromosome(_repair(genes, rng)))
-        subpops.append(chain)
-    return subpops
+) -> list[list[np.ndarray]]:
+    """Uniform random bit masks dealt into M chains of N/M masks."""
+    size = config.population_size // config.effective_m
+    return [[_repair(rng.integers(0, 2, size=d).astype(bool), rng) for _ in range(size)]
+            for _ in range(config.effective_m)]
 
 
 def mutation_step(
-    chromosome: Chromosome,
+    genes: np.ndarray,
     omega: GainRatioMatrix,
     config: EvolutionConfig,
     rng: np.random.Generator,
-) -> Chromosome:
-    """With probability p_m flip one gene (guided or uniform) unconditionally.
-
-    The returned chromosome carries no fitness; it is re-evaluated lazily.
-    """
+) -> np.ndarray | None:
+    """With probability p_m flip one gene (guided or uniform) unconditionally
+    and return the new mask; return None when no flip is drawn."""
     if rng.random() >= config.mutation_prob:
-        return chromosome
-    d = chromosome.genes.size
+        return None
     if config.diversity_mutation:
-        r = sweep_mutation(chromosome.genes, omega)
+        r = sweep_mutation(genes, omega)
     else:
-        r = int(rng.integers(0, d))
-    genes = chromosome.genes.copy()
+        r = int(rng.integers(0, genes.size))
+    genes = genes.copy()
     genes[r] = not genes[r]
-    return Chromosome(_repair(genes, rng))
+    return _repair(genes, rng)
 
 
-def _top_indices(subpop: list[Chromosome], s: int) -> list[int]:
-    return sorted(range(len(subpop)), key=lambda i: (-subpop[i].fitness.fitness, i))[:s]
+def _top_indices(subpop: list[FitnessRecord], s: int) -> list[int]:
+    return sorted(range(len(subpop)), key=lambda i: (-subpop[i].fitness, i))[:s]
 
 
-def _worst_indices(subpop: list[Chromosome], s: int) -> list[int]:
-    return sorted(range(len(subpop)), key=lambda i: (subpop[i].fitness.fitness, i))[:s]
+def _worst_indices(subpop: list[FitnessRecord], s: int) -> list[int]:
+    return sorted(range(len(subpop)), key=lambda i: (subpop[i].fitness, i))[:s]
 
 
-def migrate_elites(subpops: list[list[Chromosome]], s: int) -> None:
-    """Copy each subpopulation's s best chromosomes over the next
+def migrate_elites(subpops: list[list[FitnessRecord]], s: int) -> None:
+    """Move each subpopulation's s best chromosomes over the next
     subpopulation's s worst slots along the ring, in place.
 
     Every sender and receiver is read before any slot is written, so the
@@ -190,22 +167,22 @@ def migrate_elites(subpops: list[list[Chromosome]], s: int) -> None:
         moves.append((receiver, slots, elites))
     for receiver, slots, elites in moves:
         for slot, elite in zip(slots, elites):
-            subpops[receiver][slot] = Chromosome(elite.genes, elite.fitness)
+            subpops[receiver][slot] = elite
 
 
-def _first_best(chromosomes: list[Chromosome]) -> Chromosome:
-    """The first chromosome of top fitness: earlier ones win ties."""
-    return max(chromosomes, key=lambda ch: ch.fitness.fitness)
+def _first_best(records: list[FitnessRecord]) -> FitnessRecord:
+    """The first record of top fitness: earlier ones win ties."""
+    return max(records, key=lambda record: record.fitness)
 
 
 def _crossover(
-    subpops: list[list[Chromosome]],
+    subpops: list[list[FitnessRecord]],
     steps: list[tuple[int, int]],
     omega: GainRatioMatrix,
     config: EvolutionConfig,
     rngs: list[np.random.Generator],
     evaluate_many,
-) -> list[list[Chromosome]]:
+) -> list[list[FitnessRecord]]:
     """Chain steps (subpop i, slot j): cross slot j with slot j+1 (ring
     closed), score every child in one batch, then keep the best of
     {incumbent, child A, child B} in slot j; fitness ties keep the
@@ -222,7 +199,7 @@ def _crossover(
         k = guided[t] if config.diversity_crossover else int(rng.integers(1, omega.d))
         masks.append(_repair(np.concatenate([a[:k], b[k:]]), rng))
         masks.append(_repair(np.concatenate([b[:k], a[k:]]), rng))
-    children = [Chromosome(genes, record) for genes, record in zip(masks, evaluate_many(masks))]
+    children = evaluate_many(masks)
     pairs = [children[t : t + 2] for t in range(0, len(children), 2)]
     for (i, j), pair in zip(steps, pairs):
         subpops[i][j] = _first_best([subpops[i][j], *pair])
@@ -230,24 +207,24 @@ def _crossover(
 
 
 def _generation(
-    subpops: list[list[Chromosome]],
+    subpops: list[list[FitnessRecord]],
     generation: int,
     omega: GainRatioMatrix,
     config: EvolutionConfig,
     evaluate_many,
-) -> list[Chromosome]:
+) -> list[FitnessRecord]:
     """One generation of every subpopulation, in three batches: the chain
     steps 0..size-2 (they read only the original slots j and j+1), the
     ring closures (they read step 0's winner), then the mutants.
 
     Each subpopulation draws from its own stream, keyed by (seed,
     generation, subpop index), in the order of a serial walk of its
-    chain; the draws depend on genes only, never on fitness. Returns
-    every chromosome evaluated, in serial chain order: per subpopulation,
-    its children and then its mutants.
+    chain; the draws depend on genes only, never on fitness. A mutant
+    takes its slot once scored. Returns every record evaluated, in serial
+    chain order: per subpopulation, its children and then its mutants.
     """
     rngs = [_stream(config.seed, 1, generation, i) for i in range(len(subpops))]
-    evaluated: list[list[Chromosome]] = [[] for _ in subpops]
+    evaluated: list[list[FitnessRecord]] = [[] for _ in subpops]
     if omega.d > 1:  # a cut needs two genes; a chain of one has no partner
         inner = [(i, j) for i, sp in enumerate(subpops) for j in range(len(sp) - 1)]
         closing = [(i, len(sp) - 1) for i, sp in enumerate(subpops) if len(sp) > 1]
@@ -255,13 +232,16 @@ def _generation(
             for (i, _), pair in zip(steps, _crossover(subpops, steps, omega, config, rngs, evaluate_many)):
                 evaluated[i] += pair
 
-    for subpop, rng in zip(subpops, rngs):
-        subpop[:] = [mutation_step(ch, omega, config, rng) for ch in subpop]
-    mutants = [(i, ch) for i, sp in enumerate(subpops) for ch in sp if ch.fitness is None]
-    for (i, ch), record in zip(mutants, evaluate_many([ch.genes for _, ch in mutants])):
-        ch.fitness = record
-        evaluated[i].append(ch)
-    return [ch for chain in evaluated for ch in chain]
+    mutants = []  # (subpop, slot, mask)
+    for i, (subpop, rng) in enumerate(zip(subpops, rngs)):
+        for j, record in enumerate(subpop):
+            genes = mutation_step(record.genes, omega, config, rng)
+            if genes is not None:
+                mutants.append((i, j, genes))
+    for (i, j, _), record in zip(mutants, evaluate_many([genes for *_, genes in mutants])):
+        subpops[i][j] = record
+        evaluated[i].append(record)
+    return [record for chain in evaluated for record in chain]
 
 
 def run(
@@ -282,20 +262,20 @@ def run(
         omega = build_omega(dataset)
     evaluator = FitnessEvaluator(dataset, config.alpha, config.knn_k)
 
-    subpops = init_population(dataset.d, config, _stream(config.seed, 0))
+    masks = init_population(dataset.d, config, _stream(config.seed, 0))
     trace: list[TraceRow] = []
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         evaluate_many = partial(evaluator.evaluate_many, pool=pool)
-        population = [ch for subpop in subpops for ch in subpop]
-        for ch, record in zip(population, evaluate_many([ch.genes for ch in population])):
-            ch.fitness = record
+        population = evaluate_many([genes for chain in masks for genes in chain])
+        size = len(masks[0])
+        subpops = [population[t : t + size] for t in range(0, len(population), size)]
         best = _first_best(population)
         for gen in range(1, config.generations + 1):
             best = _first_best([best, *_generation(subpops, gen, omega, config, evaluate_many)])
             if config.elite_interaction:
                 migrate_elites(subpops, config.elites)
             for i, subpop in enumerate(subpops):
-                values = [ch.fitness.fitness for ch in subpop]
+                values = [record.fitness for record in subpop]
                 top = int(np.argmax(values))
                 trace.append(
                     TraceRow(
@@ -310,8 +290,7 @@ def run(
 
     metrics = evaluator.test_metrics(best.genes)
     return RunResult(
-        best_mask=best.genes,
-        best_fitness=best.fitness,
+        best=best,
         metrics=metrics,
         feature_ratio=best.n_selected / dataset.d,
         trace=trace,

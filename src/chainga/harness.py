@@ -153,7 +153,7 @@ def load_run_config(path, **overrides) -> HarnessConfig:
         raise ConfigError(f"seed list repeats a seed: {cfg.seeds!r}")
     _require_int("threads", cfg.threads, minimum=1)
     _require_int("bins", cfg.bins, minimum=2)
-    _require_int("split_seed", cfg.split_seed)
+    _require_int("split_seed", cfg.split_seed, minimum=0)
     if cfg.subsample is not None:
         _require_int("subsample", cfg.subsample, minimum=1)
         if manifest.get("type") == "synthetic":
@@ -247,9 +247,9 @@ def result_row(result: RunResult) -> dict:
         "recall": _round6(result.metrics.recall),
         "f1_score": _round6(result.metrics.f1),
         "feature_ratio": _round6(result.feature_ratio),
-        "fitness": _round6(result.best_fitness.fitness),
-        "n_selected": result.best_fitness.n_selected,
-        "mask": "".join("1" if b else "0" for b in result.best_mask),
+        "fitness": _round6(result.best.fitness),
+        "n_selected": result.best.n_selected,
+        "mask": "".join("1" if b else "0" for b in result.best.genes),
     }
 
 
@@ -278,9 +278,9 @@ def run_battery(
         log.info(
             "seed %s done: fitness=%.6f acc=%.6f selected=%d/%d",
             seed,
-            results[-1].best_fitness.fitness,
+            results[-1].best.fitness,
             results[-1].metrics.accuracy,
-            results[-1].best_fitness.n_selected,
+            results[-1].best.n_selected,
             dataset.d,
         )
     return results

@@ -76,7 +76,7 @@ def migration_events(monkeypatch) -> list:
     migrate = evolution.migrate_elites
 
     def snapshot(subpops):
-        return [[(ch.genes.copy(), ch.fitness.fitness) for ch in sp] for sp in subpops]
+        return [[(record.genes, record.fitness) for record in sp] for sp in subpops]
 
     def recording(subpops, s):
         before = snapshot(subpops)

@@ -4,12 +4,12 @@ Everything here is deliberately naive (Counter-based entropies, double
 loops, per-candidate enumeration) or is the loop-based predecessor of an
 optimised kernel. Nothing shares code with the package beyond ``score``
 and its near-tie tolerance, except ``serial_generation``, which replays
-the GA's own operators one chain step at a time, and the data-layer
-predecessors, which build the package's own tables with its missing
-tokens and its stratified split, and the one-pair crossover sweep, which
-breaks near-ties with the package's ``_break_tie``. The sweep oracles
-return (index, merit), except that one-pair predecessor; the sweeps
-themselves return only the index.
+the GA's own operators on its fitness records one chain step at a time,
+and the data-layer predecessors, which build the package's own tables
+with its missing tokens and its stratified split, and the one-pair
+crossover sweep, which breaks near-ties with the package's
+``_break_tie``. The sweep oracles return (index, merit), except that
+one-pair predecessor; the sweeps themselves return only the index.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from scipy.spatial.distance import cdist
 
 from chainga.criterion import _NEAR_TIE, _as_mask, _break_tie, score, sweep_crossover
 from chainga.data import MISSING_TOKENS, TRAIN, DataError, Dataset, RawTable, _stratified_split
-from chainga.evolution import Chromosome, _repair, _stream, mutation_step
+from chainga.evolution import _repair, _stream, mutation_step
 from chainga.infotheory import GainRatioMatrix
 
 
@@ -385,34 +385,32 @@ def _serial_chain_step(subpop, j, omega, config, rng, evaluate, evaluated):
         k = int(rng.integers(1, omega.d))
     genes_a = _repair(np.concatenate([incumbent.genes[:k], partner.genes[k:]]), rng)
     genes_b = _repair(np.concatenate([partner.genes[:k], incumbent.genes[k:]]), rng)
-    child_a = Chromosome(genes_a, evaluate(genes_a))
-    child_b = Chromosome(genes_b, evaluate(genes_b))
+    child_a, child_b = evaluate(genes_a), evaluate(genes_b)
     evaluated += [child_a, child_b]
     best = incumbent
-    if child_a.fitness.fitness > best.fitness.fitness:
+    if child_a.fitness > best.fitness:
         best = child_a
-    if child_b.fitness.fitness > best.fitness.fitness:
+    if child_b.fitness > best.fitness:
         best = child_b
     subpop[j] = best
 
 
 def serial_generation(subpops, generation, omega, config, evaluate):
     """The predecessor of ``evolution._generation``: each subpopulation in
-    turn walks its chain one crossover step at a time (each step sees the
-    slots the earlier steps wrote), then mutates, then scores its mutants,
-    one ``evaluate`` call per mask. Returns every chromosome evaluated, in
-    that order."""
+    turn walks its chain of fitness records one crossover step at a time
+    (each step sees the slots the earlier steps wrote), then mutates each
+    slot and scores the mutant at once, one ``evaluate`` call per mask.
+    Returns every record evaluated, in that order."""
     evaluated = []
     for i, subpop in enumerate(subpops):
         rng = _stream(config.seed, 1, generation, i)
         for j in range(len(subpop)):
             _serial_chain_step(subpop, j, omega, config, rng, evaluate, evaluated)
         for j in range(len(subpop)):
-            subpop[j] = mutation_step(subpop[j], omega, config, rng)
-        for ch in subpop:
-            if ch.fitness is None:
-                ch.fitness = evaluate(ch.genes)
-                evaluated.append(ch)
+            genes = mutation_step(subpop[j].genes, omega, config, rng)
+            if genes is not None:
+                subpop[j] = evaluate(genes)
+                evaluated.append(subpop[j])
     return evaluated
 
 

@@ -175,9 +175,9 @@ def test_criterion_5_structural_invariants(migration_events, monkeypatch):
             if sizes != [10, 10, 10]:
                 failures.append(f"seed {seed} gen {gen}: sizes {sizes}")
         top = max(fitness for _, fitness in evaluated)
-        if serial.best_fitness.fitness != top:
-            failures.append(f"seed {seed}: best {serial.best_fitness.fitness} is not the maximum {top}")
-        if not any(f == top and np.array_equal(mask, serial.best_mask) for mask, f in evaluated):
+        if serial.best.fitness != top:
+            failures.append(f"seed {seed}: best {serial.best.fitness} is not the maximum {top}")
+        if not any(f == top and np.array_equal(mask, serial.best.genes) for mask, f in evaluated):
             failures.append(f"seed {seed}: best mask was never evaluated at the best fitness")
         if len(migration_events) != 30:
             failures.append(f"seed {seed}: {len(migration_events)} migrations recorded, not 30")
@@ -192,8 +192,8 @@ def test_criterion_5_structural_invariants(migration_events, monkeypatch):
         threaded = run(ds, cfg, omega=omega, threads=3)
         if (
             serial.trace != threaded.trace
-            or not np.array_equal(serial.best_mask, threaded.best_mask)
-            or serial.best_fitness != threaded.best_fitness
+            or not np.array_equal(serial.best.genes, threaded.best.genes)
+            or serial.best != threaded.best
             or serial.n_classifier_evals != threaded.n_classifier_evals
         ):
             failures.append(f"seed {seed}: serial and threaded runs differ")
@@ -263,7 +263,7 @@ def test_criterion_6_nslkdd_substitute():
     for seed in SEEDS:
         on = run(ds, benchmark_protocol(seed), omega=omega)
         off = run(ds, benchmark_protocol(seed, **ALL_OFF), omega=omega)
-        wins += on.best_fitness.fitness >= off.best_fitness.fitness
+        wins += on.best.fitness >= off.best.fitness
     ok = wins >= 4
     record_criterion(
         6, "PASS" if ok else "FAIL",
@@ -283,7 +283,7 @@ def test_criterion_6_synthetic_directional_analog():
     for seed in SEEDS:
         on = run(ds, benchmark_protocol(seed), omega=omega)
         off = run(ds, benchmark_protocol(seed, **ALL_OFF), omega=omega)
-        wins += on.best_fitness.fitness >= off.best_fitness.fitness
+        wins += on.best.fitness >= off.best.fitness
     ok = wins >= 4
     record_criterion(
         6, "PASS" if ok else "FAIL",

@@ -2,6 +2,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chainga.classifier import (
     combine_fitness,
     evaluate_metrics,
     knn_predict,
+    mask_key,
 )
 from oracles import cdist_knn_predict
 
@@ -236,6 +238,23 @@ def test_evaluate_many_pool_stress(small_dataset, knn_calls):
 def test_evaluator_empty_mask_sentinel(small_dataset):
     record = FitnessEvaluator(small_dataset).evaluate(np.zeros(small_dataset.d, dtype=bool))
     assert record.fitness == 0.0 and record.acc == 0.0 and record.n_selected == 0
+
+
+def test_record_genes_are_a_read_only_copy_of_the_mask(small_dataset):
+    evaluator = FitnessEvaluator(small_dataset)
+    for bits in (np.arange(small_dataset.d) < 3, np.zeros(small_dataset.d, dtype=bool)):
+        mask = bits.copy()
+        key = mask_key(mask)
+        record = evaluator.evaluate(mask)
+        assert np.array_equal(record.genes, bits) and record.genes is not mask
+        assert not record.genes.flags.writeable
+        with pytest.raises(ValueError):
+            record.genes[0] = True
+        mask[:] = ~mask  # the caller reuses its mask
+        assert np.array_equal(record.genes, bits)
+        assert evaluator.cache[key] is record and evaluator.evaluate(bits) is record
+    # equal scores make equal records, whatever the genes
+    assert replace(record, genes=~record.genes) == record
 
 
 def test_evaluator_test_metrics_requires_features(small_dataset):

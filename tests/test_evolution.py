@@ -9,7 +9,6 @@ from chainga import evolution
 from chainga.classifier import FitnessEvaluator, FitnessRecord
 from chainga.data import SyntheticSpec, generate_synthetic
 from chainga.evolution import (
-    Chromosome,
     EvolutionConfig,
     _generation,
     _stream,
@@ -22,16 +21,19 @@ from chainga.infotheory import GainRatioMatrix, build_omega
 from oracles import oracle_crossover
 
 
-def _chrom(bits, fitness=None):
+def _genes(bits):
     genes = np.array(bits, dtype=bool)
-    if fitness is None:
-        return Chromosome(genes)
-    return Chromosome(genes, FitnessRecord(fitness, fitness, int(genes.sum())))
+    genes.setflags(write=False)
+    return genes
+
+
+def _chrom(bits, fitness):
+    genes = _genes(bits)
+    return FitnessRecord(genes, fitness, fitness, int(genes.sum()))
 
 
 def _record(table, genes):
-    key = tuple(int(b) for b in genes)
-    return FitnessRecord(table[key], table[key], sum(key))
+    return _chrom(genes, table[tuple(int(b) for b in genes)])
 
 
 def _stub_evaluate_many(table, batches=None):
@@ -95,14 +97,14 @@ def test_init_population_deterministic():
     a = init_population(9, cfg, _stream(7, 0))
     b = init_population(9, cfg, _stream(7, 0))
     for sa, sb in zip(a, b):
-        for ca, cb in zip(sa, sb):
-            assert np.array_equal(ca.genes, cb.genes)
+        for ga, gb in zip(sa, sb):
+            assert np.array_equal(ga, gb)
 
 
 def test_init_population_repairs_empty_masks():
     cfg = EvolutionConfig(population_size=30, subpopulations=3, elites=2)
     pop = init_population(1, cfg, _stream(3, 0))
-    assert all(ch.genes.any() for sp in pop for ch in sp)
+    assert all(genes.any() for sp in pop for genes in sp)
 
 
 def test_chain_crossover_identical_parents_keeps_incumbent(flat_omega):
@@ -136,9 +138,9 @@ def test_chain_crossover_improving_child_replaces(flat_omega):
     subpops = [[incumbent, partner]]
     _generation(subpops, 1, flat_omega, _CROSSOVER_ONLY, _stub_evaluate_many(table))
     out = subpops[0][0]
-    assert out is not incumbent and out is not partner
+    assert out is not incumbent and out is not partner  # the scored child
     assert np.array_equal(out.genes, partner.genes)
-    assert out.fitness == _record(table, partner.genes)
+    assert out == _record(table, partner.genes)
 
 
 def test_chain_crossover_last_position_partners_with_first(flat_omega):
@@ -163,22 +165,36 @@ def test_chain_crossover_never_decreases_fitness(small_dataset):
     rng = np.random.default_rng(5)
     table = defaultdict(lambda: float(rng.integers(0, 4)) / 4)  # tie-heavy, drawn on first use
     cfg = EvolutionConfig(population_size=6, subpopulations=1, elites=0, seed=5, mutation_prob=0.0)
-    subpops = init_population(small_dataset.d, cfg, _stream(5, 0))
     evaluate_many = _stub_evaluate_many(table)
-    for ch, record in zip(subpops[0], evaluate_many([ch.genes for ch in subpops[0]])):
-        ch.fitness = record
+    subpops = [evaluate_many(chain) for chain in init_population(small_dataset.d, cfg, _stream(5, 0))]
     for gen in range(1, 6):
-        before = [ch.fitness.fitness for ch in subpops[0]]
+        before = [record.fitness for record in subpops[0]]
         _generation(subpops, gen, omega, cfg, evaluate_many)
-        after = [ch.fitness.fitness for ch in subpops[0]]
+        after = [record.fitness for record in subpops[0]]
         assert all(b >= a for a, b in zip(before, after))
 
 
 def test_mutation_disabled_is_identity(flat_omega):
     cfg = EvolutionConfig(population_size=4, subpopulations=1, elites=0, mutation_prob=0.0)
-    ch = _chrom([1, 0, 1, 0], 0.4)
-    out = mutation_step(ch, flat_omega, cfg, _stream(0, 1))
-    assert out is ch
+    assert mutation_step(_genes([1, 0, 1, 0]), flat_omega, cfg, _stream(0, 1)) is None
+
+
+def test_mutation_returns_none_exactly_when_no_flip_is_drawn(flat_omega):
+    cfg = EvolutionConfig(population_size=4, subpopulations=1, elites=0, mutation_prob=0.5,
+                          diversity_mutation=False)
+    genes = _genes([1, 0, 1, 0])
+    outcomes = set()
+    for seed in range(20):
+        replay = _stream(seed, 1)
+        out = mutation_step(genes, flat_omega, cfg, _stream(seed, 1))
+        if replay.random() >= 0.5:
+            assert out is None
+        else:
+            r = int(replay.integers(0, 4))
+            assert out.tolist() == [bool(b) != (t == r) for t, b in enumerate(genes)]
+        outcomes.add(out is None)
+    assert outcomes == {True, False}
+    assert genes.tolist() == [True, False, True, False]
 
 
 def test_mutation_guided_flips_best_bit():
@@ -186,9 +202,10 @@ def test_mutation_guided_flips_best_bit():
     cfg = EvolutionConfig(
         population_size=2, subpopulations=1, elites=0, mutation_prob=1.0
     )
-    out = mutation_step(_chrom([1, 0], 0.1), omega, cfg, _stream(0, 1))
-    assert out.genes.tolist() == [True, True]
-    assert out.fitness is None  # re-evaluated lazily
+    genes = _genes([1, 0])
+    out = mutation_step(genes, omega, cfg, _stream(0, 1))
+    assert out.tolist() == [True, True]
+    assert genes.tolist() == [True, False]  # a new mask, scored by the caller
 
 
 def test_mutation_random_flip_matches_seeded_draw(flat_omega):
@@ -199,13 +216,13 @@ def test_mutation_random_flip_matches_seeded_draw(flat_omega):
         mutation_prob=1.0,
         diversity_mutation=False,
     )
-    out = mutation_step(_chrom([1, 0, 1, 0], 0.1), flat_omega, cfg, _stream(42, 1))
+    out = mutation_step(_genes([1, 0, 1, 0]), flat_omega, cfg, _stream(42, 1))
     replay = _stream(42, 1)
     assert replay.random() < 1.0
     r = int(replay.integers(0, 4))
     expected = [True, False, True, False]
     expected[r] = not expected[r]
-    assert out.genes.tolist() == expected
+    assert out.tolist() == expected
 
 
 def test_mutation_repairs_emptied_mask():
@@ -217,8 +234,8 @@ def test_mutation_repairs_emptied_mask():
         mutation_prob=1.0,
         diversity_mutation=False,
     )
-    out = mutation_step(_chrom([1], 0.1), omega, cfg, _stream(0, 1))
-    assert out.genes.any()
+    out = mutation_step(_genes([1]), omega, cfg, _stream(0, 1))
+    assert out.any()
 
 
 def test_migrate_zero_elites_noop():
@@ -233,11 +250,12 @@ def test_migrate_hand_case_two_subpops():
     c, d = _chrom([0, 0, 1, 0], 0.8), _chrom([0, 0, 0, 1], 0.2)
     pop = [[a, b], [c, d]]
     migrate_elites(pop, 1)
-    # P1's worst (b) replaced by P2's elite c; P2's worst (d) by P1's elite a
+    # P1's worst (b) replaced by P2's elite c; P2's worst (d) by P1's elite a:
+    # each receiver's slot holds the sender's record itself
     assert pop[0][0] is a
-    assert np.array_equal(pop[0][1].genes, c.genes)
+    assert pop[0][1] is c
     assert pop[1][0] is c
-    assert np.array_equal(pop[1][1].genes, a.genes)
+    assert pop[1][1] is a
 
 
 def test_migrate_senders_keep_their_elites():
@@ -245,9 +263,7 @@ def test_migrate_senders_keep_their_elites():
     subpops = []
     for _ in range(3):
         subpops.append([_chrom(rng.random(6) < 0.5, float(rng.random())) for _ in range(5)])
-    top_before = [
-        sorted(sp, key=lambda ch: -ch.fitness.fitness)[:2][0].genes.copy() for sp in subpops
-    ]
+    top_before = [sorted(sp, key=lambda ch: -ch.fitness)[:2][0].genes for sp in subpops]
     pop = [list(sp) for sp in subpops]
     migrate_elites(pop, 2)
     for i, genes in enumerate(top_before):
@@ -263,7 +279,7 @@ def test_migrate_receivers_contain_top_elites():
             for _ in range(m)
         ]
         elites = [
-            [ch.genes.copy() for ch in sorted(sp, key=lambda ch: -ch.fitness.fitness)[:s]]
+            [ch.genes for ch in sorted(sp, key=lambda ch: -ch.fitness)[:s]]
             for sp in subpops
         ]
         pop = [list(sp) for sp in subpops]
@@ -280,7 +296,8 @@ def test_migrate_reads_the_pre_migration_snapshot():
     migrate_elites(pop, 1)
     # each subpop receives its predecessor's elite as it was before any move,
     # so the strongest chromosome advances one step instead of cascading
-    assert [sp[0].fitness.fitness for sp in pop] == [0.1, 0.9, 0.5]
+    assert pop[0][0] is c and pop[1][0] is a and pop[2][0] is b
+    assert [sp[0].fitness for sp in pop] == [0.1, 0.9, 0.5]
 
 
 def _tiny_dataset(d_noise=2, seed=2):
@@ -295,17 +312,14 @@ def test_run_fixed_point_with_identical_chromosomes():
         s
         for s in range(500)
         if np.array_equal(
-            *[
-                ch.genes
-                for ch in init_population(
-                    ds.d,
-                    EvolutionConfig(
-                        population_size=2, subpopulations=1, elites=0,
-                        generations=1, mutation_prob=0.0, seed=s,
-                    ),
-                    _stream(s, 0),
-                )[0]
-            ]
+            *init_population(
+                ds.d,
+                EvolutionConfig(
+                    population_size=2, subpopulations=1, elites=0,
+                    generations=1, mutation_prob=0.0, seed=s,
+                ),
+                _stream(s, 0),
+            )[0]
         )
     )
     cfg = EvolutionConfig(
@@ -314,9 +328,9 @@ def test_run_fixed_point_with_identical_chromosomes():
     )
     result = run(ds, cfg)
     pop = init_population(ds.d, cfg, _stream(seed, 0))
-    expected = FitnessEvaluator(ds, cfg.alpha, cfg.knn_k).evaluate(pop[0][0].genes)
-    assert result.best_fitness == expected
-    assert np.array_equal(result.best_mask, pop[0][0].genes)
+    expected = FitnessEvaluator(ds, cfg.alpha, cfg.knn_k).evaluate(pop[0][0])
+    assert result.best == expected
+    assert np.array_equal(result.best.genes, pop[0][0])
 
 
 def test_run_population_size_and_monotone_best(small_dataset):
@@ -326,7 +340,7 @@ def test_run_population_size_and_monotone_best(small_dataset):
         sizes = [row.size for row in result.trace if row.generation == gen]
         assert sum(sizes) == 12 and sizes == [4, 4, 4]
     # the global best is kept even when mutation later loses it
-    assert result.best_fitness.fitness >= max(row.best_fitness for row in result.trace)
+    assert result.best.fitness >= max(row.best_fitness for row in result.trace)
 
 
 def test_run_trace_reproducible(small_dataset):
@@ -334,8 +348,8 @@ def test_run_trace_reproducible(small_dataset):
     a = run(small_dataset, cfg)
     b = run(small_dataset, cfg)
     assert a.trace == b.trace
-    assert np.array_equal(a.best_mask, b.best_mask)
-    assert a.best_fitness == b.best_fitness
+    assert np.array_equal(a.best.genes, b.best.genes)
+    assert a.best == b.best
     assert a.metrics.accuracy == b.metrics.accuracy
 
 
@@ -344,8 +358,8 @@ def test_run_threads_bit_identical(small_dataset):
     serial = run(small_dataset, cfg, threads=1)
     threaded = run(small_dataset, cfg, threads=3)
     assert serial.trace == threaded.trace
-    assert np.array_equal(serial.best_mask, threaded.best_mask)
-    assert serial.best_fitness == threaded.best_fitness
+    assert np.array_equal(serial.best.genes, threaded.best.genes)
+    assert serial.best == threaded.best
     assert serial.n_classifier_evals == threaded.n_classifier_evals
 
 
@@ -357,7 +371,7 @@ def test_run_all_flags_off_is_single_population_random_ga(small_dataset):
     explicit = run(small_dataset, EvolutionConfig(subpopulations=1, **base))
     assert all(row.subpop == 0 and row.size == 12 for row in plain.trace)
     assert plain.trace == explicit.trace
-    assert np.array_equal(plain.best_mask, explicit.best_mask)
+    assert np.array_equal(plain.best.genes, explicit.best.genes)
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from chainga.classifier import FitnessRecord, mask_key
 from chainga.evolution import (
-    Chromosome,
     EvolutionConfig,
     _first_best,
     _generation,
@@ -27,17 +26,20 @@ def _tie_heavy_fitness(levels):
 
     def evaluate(genes):
         value = int.from_bytes(mask_key(genes), "little") % levels / max(levels - 1, 1)
-        return FitnessRecord(value, value, int(np.sum(genes)))
+        genes = np.array(genes, dtype=bool)
+        genes.setflags(write=False)
+        return FitnessRecord(genes, value, value, int(genes.sum()))
 
     return evaluate
 
 
 def _copy(subpops):
-    return [[Chromosome(ch.genes, ch.fitness) for ch in sp] for sp in subpops]
+    return [list(sp) for sp in subpops]
 
 
-def _state(chromosomes):
-    return [(ch.genes.tolist(), ch.fitness) for ch in chromosomes]
+def _state(records):
+    """Genes and every record field: record equality ignores the genes."""
+    return [(record.genes.tolist(), record) for record in records]
 
 
 @given(
@@ -67,11 +69,9 @@ def test_generation_matches_serial_predecessor(d, m, size, elites, flags, mutati
     omega = GainRatioMatrix(rng.choice([0.0, 0.5, 1.0], size=d), ff)
     evaluate = _tie_heavy_fitness(levels)
 
-    batched = init_population(d, cfg, _stream(seed, 0))
-    for ch in (ch for sp in batched for ch in sp):
-        ch.fitness = evaluate(ch.genes)
+    batched = [[evaluate(genes) for genes in chain] for chain in init_population(d, cfg, _stream(seed, 0))]
     serial = _copy(batched)
-    best = _first_best([ch for sp in batched for ch in sp])
+    best = _first_best([record for sp in batched for record in sp])
     serial_best = best
     for gen in range(1, cfg.generations + 1):
         new = _generation(batched, gen, omega, cfg, lambda masks: [evaluate(g) for g in masks])
@@ -79,9 +79,9 @@ def test_generation_matches_serial_predecessor(d, m, size, elites, flags, mutati
         assert _state(new) == _state(old)
         # the serial run kept the first record that beat the incumbent outright
         best = _first_best([best, *new])
-        for ch in old:
-            if ch.fitness.fitness > serial_best.fitness.fitness:
-                serial_best = ch
+        for record in old:
+            if record.fitness > serial_best.fitness:
+                serial_best = record
         assert _state([best]) == _state([serial_best])
         if cfg.elite_interaction:
             migrate_elites(batched, cfg.elites)

@@ -200,6 +200,16 @@ def test_cli_label_column_of_zero_and_minus_zero_is_data_error(tmp_path, capsys)
     assert "data error:" in err and "fewer than 2 distinct" in err and "Traceback" not in err
 
 
+def test_cli_negative_split_seed_on_a_csv_is_config_error(tmp_path, capsys):
+    rows = ["a,b,class"] + [f"{i},{i % 3},{'xy'[i % 2]}" for i in range(40)]
+    (tmp_path / "table.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    manifest = {"type": "csv", "path": "table.csv", "label_column": "class"}
+    config_path = write_configs(tmp_path, manifest=manifest, extra={"split_seed": -1})
+    assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "split_seed must be >= 0" in err and "Traceback" not in err
+
+
 def test_cli_too_few_rows_for_every_partition_is_data_error(tmp_path, capsys):
     (tmp_path / "table.csv").write_text("a,b,class\n1,2,x\n2,3,y\n4,5,x\n6,7,y\n")
     manifest = {"type": "csv", "path": "table.csv", "label_column": "class"}
