@@ -14,11 +14,14 @@ _BLOCK = 2**20  # entries of one query block's n_query x n_train key matrix (8 M
 
 
 def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k: int) -> np.ndarray:
-    """Euclidean k-nearest-neighbour prediction with deterministic ties.
+    """Euclidean k-nearest-neighbour vote of the first k columns of a stable
+    argsort of ``cdist``: distance ties prefer the lower training-row index,
+    and vote ties the class whose nearest member ranks first.
 
-    Distance ties prefer the lower training-row index; vote ties among
-    classes prefer the class whose nearest member ranks first.
-    """
+    One GEMM keys each training row by ``|t|^2 - 2 q.t``; rows keyed within a
+    rounding slack of the k-th key include the k nearest. A query with exactly
+    k of them, one class topping their vote, is settled: its k nearest in any
+    order give that vote. Only the rest rank their rows by exact distances."""
     if train_X.shape[0] == 0:
         raise ValueError("empty training set")
     if train_X.ndim != 2 or train_X.shape[1] == 0:
@@ -28,47 +31,41 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
     if query_X.ndim != 2 or query_X.shape[1] != train_X.shape[1]:
         raise ValueError(f"query matrix must be 2-D with {train_X.shape[1]} columns, got shape {query_X.shape}")
 
-    step = max(1, _BLOCK // train_X.shape[0])
-    blocks = range(0, max(len(query_X), 1), step)
-    labels = train_y[np.concatenate([_nearest(query_X[i:i + step], train_X, k) for i in blocks])]
-
-    n_classes = int(train_y.max()) + 1
-    rows = np.arange(len(labels))[:, None]
-    votes = np.bincount((rows * n_classes + labels).ravel(), minlength=rows.size * n_classes)
-    votes = votes.reshape(rows.size, n_classes)
-    # the first rank holding a top-voted class holds the tied class whose
-    # nearest member ranks first
-    top = votes[rows, labels] == votes.max(axis=1, keepdims=True)
-    return labels[rows[:, 0], np.argmax(top, axis=1)]
-
-
-def _nearest(query_X: np.ndarray, train_X: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each query's k nearest training rows, ordered by
-    (distance, column): the first k columns of a stable argsort of
-    ``cdist(query_X, train_X)``, without computing or sorting that matrix."""
-    (n_query, d), n_train = query_X.shape, train_X.shape[0]
-    k = min(k, n_train)
+    (n_train, d), k, n_classes = train_X.shape, min(k, train_X.shape[0]), int(train_y.max()) + 1
     t_sq = np.einsum("ij,ij->i", train_X, train_X)
-    key = query_X @ train_X.T
-    key *= -2.0
-    key += t_sq  # |q - t|^2 - |q|^2: the same order within a row
-    kth = np.partition(key, k - 1, axis=1)[:, [k - 1]]
-    # With u = eps/2 and S = |q|^2 + max|t|^2 >= |q - t|^2 / 2: a key is off by
-    # <= (2d + 2)uS (GEMM, |t|^2), cdist's in-order sum by <= (d + 2)u|q - t|^2,
-    # and sqrt merges squares <= 4u apart. So a column cdist ranks at or before
-    # one keyed <= kth is keyed <= kth + (8d + 20)uS; the slack is (16d + 64)uS.
-    q_sq = np.einsum("ij,ij->i", query_X, query_X)[:, None]
-    slack = 8 * (d + 4) * np.finfo(float).eps * (q_sq + t_sq.max())
-    rows, cols = np.divmod(np.flatnonzero(key <= kth + slack), n_train)  # columns ascend within a row
-    dists = np.empty(rows.size)
-    chunk = max(1, _BLOCK // d)
-    for s in range(0, rows.size, chunk):  # summed in feature order as cdist sums: bit-identical
-        r, c = rows[s:s + chunk], cols[s:s + chunk]
-        dists[s:s + chunk] = np.sqrt(np.add.accumulate((query_X[r] - train_X[c]) ** 2, axis=1)[:, -1])
-    order = np.lexsort((dists, rows))  # stable: ties keep column order
-    counts = np.bincount(rows, minlength=n_query)
-    starts = np.cumsum(counts) - counts
-    return cols[order][starts[:, None] + np.arange(k)]
+    pred = np.empty(len(query_X), dtype=np.intp)
+    step = max(1, _BLOCK // n_train)
+    for i in range(0, len(query_X), step):  # query blocks bound the key matrix
+        query, out = query_X[i:i + step], pred[i:i + step]
+        key = (-2.0 * query) @ train_X.T
+        key += t_sq  # |q - t|^2 - |q|^2: the same order within a row
+        kth = np.partition(key, k - 1, axis=1)[:, [k - 1]]
+        # With u = eps/2 and S = |q|^2 + max|t|^2 >= |q - t|^2 / 2: a key is off by
+        # <= (2d + 2)uS (GEMM, |t|^2), cdist's in-order sum by <= (d + 2)u|q - t|^2,
+        # and sqrt merges squares <= 4u apart. So a column cdist ranks at or before
+        # one keyed <= kth is keyed <= kth + (8d + 20)uS; the slack is (16d + 64)uS.
+        slack = 8 * (d + 4) * np.finfo(float).eps * (np.einsum("ij,ij->i", query, query)[:, None] + t_sq.max())
+        rows, cols = np.divmod(np.flatnonzero(key <= kth + slack), n_train)  # columns ascend within a row
+        votes = np.bincount(rows * n_classes + train_y[cols], minlength=out.size * n_classes).reshape(-1, n_classes)
+        top = votes == votes.max(axis=1, keepdims=True)
+        out[:] = np.argmax(top, axis=1)  # a settled query's class
+        refine = (np.bincount(rows, minlength=out.size) > k) | (np.count_nonzero(top, axis=1) > 1)
+        if not refine.any():
+            continue
+        rows, cols = rows[refine[rows]], cols[refine[rows]]
+        dists, chunk = np.empty(rows.size), max(1, _BLOCK // d)
+        for s in range(0, rows.size, chunk):  # summed in feature order as cdist sums: bit-identical
+            r, c = rows[s:s + chunk], cols[s:s + chunk]
+            dists[s:s + chunk] = np.sqrt(np.add.accumulate((query[r] - train_X[c]) ** 2, axis=1)[:, -1])
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        labels = train_y[cols[np.lexsort((dists, rows))][starts[:, None] + np.arange(k)]]  # in rank order
+        ranks = np.arange(len(labels))[:, None]
+        votes = np.bincount((ranks * n_classes + labels).ravel(), minlength=ranks.size * n_classes)
+        votes = votes.reshape(-1, n_classes)
+        # the first rank holding a top-voted class holds the tied class whose nearest member ranks first
+        top = votes[ranks, labels] == votes.max(axis=1, keepdims=True)
+        out[refine] = labels[ranks[:, 0], np.argmax(top, axis=1)]
+    return pred
 
 
 @dataclass
@@ -170,10 +167,9 @@ class FitnessEvaluator:
             record = FitnessRecord(genes, 0.0, 0.0, 0)
         else:
             pred = knn_predict(self._train_X[:, mask], self._train_y, self._val_X[:, mask], self.k)
-            acc = float(np.mean(pred == self._val_y))
-            record = FitnessRecord(
-                genes, combine_fitness(acc, n_selected, self.dataset.d, self.alpha), acc, n_selected
-            )
+            acc = np.count_nonzero(pred == self._val_y) / self._val_y.size
+            fitness = combine_fitness(acc, n_selected, self.dataset.d, self.alpha)
+            record = FitnessRecord(genes, fitness, acc, n_selected)
         self.cache[key] = record
         return record
 

@@ -105,6 +105,8 @@ def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> int | np.ndar
     a, b = a.reshape(-1, d), b.reshape(-1, d)
     cuts = np.ones(len(a), dtype=np.int64)  # equal parents: every cut gives them back
     differ = np.flatnonzero((a != b).any(axis=1))
+    if not differ.size:
+        return int(cuts[0]) if not shape else cuts.reshape(shape)
     a, b = a[differ], b[differ]
     n, sum_fc, sum_ff = _crossed_sums(a, b, omega)[..., 1:]
     # n_s + sum_ff >= 1 for a non-empty child; the floor only guards empty ones

@@ -154,6 +154,8 @@ def load_run_config(path, **overrides) -> HarnessConfig:
     _require_int("threads", cfg.threads, minimum=1)
     _require_int("bins", cfg.bins, minimum=2)
     _require_int("split_seed", cfg.split_seed, minimum=0)
+    if "split_seed" in raw and manifest.get("type") == "synthetic":
+        raise ConfigError("split_seed applies only to csv manifests")
     if cfg.subsample is not None:
         _require_int("subsample", cfg.subsample, minimum=1)
         if manifest.get("type") == "synthetic":

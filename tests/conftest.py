@@ -20,6 +20,8 @@ else:
     settings.register_profile(
         "chainga", derandomize=True, deadline=None, max_examples=150, database=None
     )
+    # the same cases and more of them: pytest --hypothesis-profile ci
+    settings.register_profile("ci", settings.get_profile("chainga"), max_examples=1000)
     settings.load_profile("chainga")
 
 # real benchmark CSVs are looked up here when present (see scripts/fetch_datasets.py)

@@ -27,6 +27,8 @@ from chainga.data import MISSING_TOKENS, TRAIN, DataError, Dataset, RawTable, _s
 from chainga.evolution import _repair, _stream, mutation_step
 from chainga.infotheory import GainRatioMatrix
 
+GRAM_BLOCK = 2**20  # entries of one query block's key matrix in gram_knn_predict
+
 
 def ref_entropy(values) -> float:
     values = list(values)
@@ -342,7 +344,7 @@ def argsort_knn_predict(train_X, train_y, query_X, k):
 
 
 def cdist_knn_predict(train_X, train_y, query_X, k):
-    """The predecessor of ``knn_predict``: the full ``cdist`` matrix,
+    """The predecessor of ``gram_knn_predict``: the full ``cdist`` matrix,
     ``np.partition`` at each row's k-th distance, a stable sort of only the
     entries at or below it, and one ``np.bincount`` vote."""
     if train_X.shape[0] == 0:
@@ -369,6 +371,66 @@ def cdist_knn_predict(train_X, train_y, query_X, k):
     votes = votes.reshape(rows.size, n_classes)
     top = votes[rows, labels] == votes.max(axis=1, keepdims=True)
     return labels[rows[:, 0], np.argmax(top, axis=1)]
+
+
+def gram_knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k: int) -> np.ndarray:
+    """The predecessor of ``knn_predict``: every query block ranks its
+    Gram-filtered candidates with exact distances, whether or not their
+    order can change the vote.
+
+    Distance ties prefer the lower training-row index; vote ties among
+    classes prefer the class whose nearest member ranks first.
+    """
+    if train_X.shape[0] == 0:
+        raise ValueError("empty training set")
+    if train_X.ndim != 2 or train_X.shape[1] == 0:
+        raise ValueError("training matrix must select at least one feature")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if query_X.ndim != 2 or query_X.shape[1] != train_X.shape[1]:
+        raise ValueError(f"query matrix must be 2-D with {train_X.shape[1]} columns, got shape {query_X.shape}")
+
+    step = max(1, GRAM_BLOCK // train_X.shape[0])
+    blocks = range(0, max(len(query_X), 1), step)
+    labels = train_y[np.concatenate([gram_nearest(query_X[i:i + step], train_X, k) for i in blocks])]
+
+    n_classes = int(train_y.max()) + 1
+    rows = np.arange(len(labels))[:, None]
+    votes = np.bincount((rows * n_classes + labels).ravel(), minlength=rows.size * n_classes)
+    votes = votes.reshape(rows.size, n_classes)
+    # the first rank holding a top-voted class holds the tied class whose
+    # nearest member ranks first
+    top = votes[rows, labels] == votes.max(axis=1, keepdims=True)
+    return labels[rows[:, 0], np.argmax(top, axis=1)]
+
+
+def gram_nearest(query_X: np.ndarray, train_X: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each query's k nearest training rows, ordered by
+    (distance, column): the first k columns of a stable argsort of
+    ``cdist(query_X, train_X)``, without computing or sorting that matrix."""
+    (n_query, d), n_train = query_X.shape, train_X.shape[0]
+    k = min(k, n_train)
+    t_sq = np.einsum("ij,ij->i", train_X, train_X)
+    key = query_X @ train_X.T
+    key *= -2.0
+    key += t_sq  # |q - t|^2 - |q|^2: the same order within a row
+    kth = np.partition(key, k - 1, axis=1)[:, [k - 1]]
+    # With u = eps/2 and S = |q|^2 + max|t|^2 >= |q - t|^2 / 2: a key is off by
+    # <= (2d + 2)uS (GEMM, |t|^2), cdist's in-order sum by <= (d + 2)u|q - t|^2,
+    # and sqrt merges squares <= 4u apart. So a column cdist ranks at or before
+    # one keyed <= kth is keyed <= kth + (8d + 20)uS; the slack is (16d + 64)uS.
+    q_sq = np.einsum("ij,ij->i", query_X, query_X)[:, None]
+    slack = 8 * (d + 4) * np.finfo(float).eps * (q_sq + t_sq.max())
+    rows, cols = np.divmod(np.flatnonzero(key <= kth + slack), n_train)  # columns ascend within a row
+    dists = np.empty(rows.size)
+    chunk = max(1, GRAM_BLOCK // d)
+    for s in range(0, rows.size, chunk):  # summed in feature order as cdist sums: bit-identical
+        r, c = rows[s:s + chunk], cols[s:s + chunk]
+        dists[s:s + chunk] = np.sqrt(np.add.accumulate((query_X[r] - train_X[c]) ** 2, axis=1)[:, -1])
+    order = np.lexsort((dists, rows))  # stable: ties keep column order
+    counts = np.bincount(rows, minlength=n_query)
+    starts = np.cumsum(counts) - counts
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 def _serial_chain_step(subpop, j, omega, config, rng, evaluate, evaluated):

@@ -1,6 +1,6 @@
-"""Property tests: the Gram-filtered KNN kernel against the cdist-plus-
-partition kernel it replaced and the stable argsort before that, on
-tie-heavy and near-tie inputs."""
+"""Property tests: the settled/refined KNN kernel against the Gram-filtered
+kernel it replaced, the cdist-plus-partition kernel before that and the
+stable argsort before that, on tie-heavy, near-tie and vote-tie inputs."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from chainga.classifier import _nearest, knn_predict
-from oracles import argsort_knn_predict, cdist_knn_predict
+from chainga.classifier import knn_predict
+from oracles import argsort_knn_predict, cdist_knn_predict, gram_knn_predict, gram_nearest
 
 
 def grid_rows(n, d):
@@ -29,12 +29,13 @@ def labels_for(draw, n):
 def assert_matches_predecessors(train, labels, queries, k):
     expected = argsort_knn_predict(train, labels, queries, k)
     assert np.array_equal(cdist_knn_predict(train, labels, queries, k), expected)
+    assert np.array_equal(gram_knn_predict(train, labels, queries, k), expected)
     assert np.array_equal(knn_predict(train, labels, queries, k), expected)
 
 
 def assert_stable_argsort_prefix(train, queries, k):
     expected = np.argsort(cdist(queries, train), axis=1, kind="stable")[:, :k]
-    assert np.array_equal(_nearest(queries, train, k), expected)
+    assert np.array_equal(gram_nearest(queries, train, k), expected)
 
 
 @st.composite
@@ -56,6 +57,35 @@ def knn_cases(draw):
 @example((np.array([[0.5, 1.0]]), np.array([3]), np.array([[0.0, 0.5]]), 1))
 @example((np.array([[0.0], [1.0], [0.5], [0.5]]), np.array([0, 3, 3, 0]), np.array([[0.5]]), 4))
 def test_knn_matches_argsort_predecessor(case):
+    assert_matches_predecessors(*case)
+
+
+@st.composite
+def vote_tie_cases(draw):
+    """An even k and 3-5 classes, so votes tie often, over training rows
+    with duplicates, so a query often has more than k candidates."""
+    n_train = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 3))
+    train = draw(grid_rows(n_train, d))
+    train = np.concatenate([train, train[draw(st.lists(st.integers(0, n_train - 1), min_size=1, max_size=6))]])
+    n_classes = draw(st.integers(3, 5))
+    labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=len(train), max_size=len(train))))
+    queries = np.concatenate([
+        draw(grid_rows(draw(st.integers(0, 4)), d)),
+        train[draw(st.lists(st.integers(0, len(train) - 1), min_size=1, max_size=4))],
+    ])
+    k = 2 * draw(st.integers(1, len(train) // 2 + 1))
+    return train, labels, queries, k
+
+
+@given(vote_tie_cases())
+# every query settled: exactly k candidates and one top-voted class
+@example((np.array([[0.0], [1.0], [6.0], [7.0], [20.0]]), np.array([0, 0, 2, 2, 1]), np.array([[0.0], [7.0]]), 2))
+# more than k candidates, whose own vote has one top class but the k nearest tie
+@example((np.array([[0.0], [1.0], [1.0], [1.0], [9.0]]), np.array([0, 1, 1, 1, 2]), np.array([[0.0]]), 2))
+# exactly k candidates whose vote ties: the nearest member's class wins
+@example((np.array([[0.0], [1.0], [5.0]]), np.array([1, 0, 2]), np.array([[0.0]]), 2))
+def test_knn_vote_ties_match_predecessors(case):
     assert_matches_predecessors(*case)
 
 

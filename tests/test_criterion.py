@@ -104,6 +104,19 @@ def test_sweep_crossover_identical_parents(toy_omega):
     assert sweep_crossover(mask, mask, toy_omega) == 1
 
 
+def test_sweep_crossover_equal_parents_skip_the_sums(toy_omega, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("_crossed_sums ran on pairs whose parents are all equal")
+
+    monkeypatch.setattr(criterion, "_crossed_sums", unreachable)
+    mask = np.array([1, 0, 1], dtype=bool)
+    one = sweep_crossover(mask, mask, toy_omega)
+    assert type(one) is int and one == 1
+    batch = np.stack([mask, ~mask, np.ones(3, dtype=bool), mask]).reshape(2, 2, 3)
+    cuts = sweep_crossover(batch, batch, toy_omega)
+    assert isinstance(cuts, np.ndarray) and cuts.shape == (2, 2) and (cuts == 1).all()
+
+
 def test_sweep_crossover_d4_exhaustive():
     rng = np.random.default_rng(17)
     a = np.array([1, 1, 0, 0], dtype=bool)

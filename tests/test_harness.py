@@ -210,6 +210,17 @@ def test_cli_negative_split_seed_on_a_csv_is_config_error(tmp_path, capsys):
     assert "config error:" in err and "split_seed must be >= 0" in err and "Traceback" not in err
 
 
+def test_cli_split_seed_on_synthetic_manifest_is_config_error(tmp_path, capsys):
+    # a synthetic manifest splits its rows by its own seed, so a split_seed
+    # would be recorded in run_manifest.yaml without changing the run
+    config_path = write_configs(tmp_path, extra={"split_seed": 7})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "split_seed applies only to csv manifests" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_too_few_rows_for_every_partition_is_data_error(tmp_path, capsys):
     (tmp_path / "table.csv").write_text("a,b,class\n1,2,x\n2,3,y\n4,5,x\n6,7,y\n")
     manifest = {"type": "csv", "path": "table.csv", "label_column": "class"}
