@@ -6,7 +6,7 @@ from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist  # noqa: F401 (perfbench/tracer.py times classifier.cdist by name)
+from scipy.spatial.distance import cdist
 
 from .data import Dataset
 
@@ -21,7 +21,7 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
     One GEMM keys each training row by ``|t|^2 - 2 q.t``; rows keyed within a
     rounding slack of the k-th key include the k nearest. A query with exactly
     k of them, one class topping their vote, is settled: its k nearest in any
-    order give that vote. Only the rest rank their rows by exact distances."""
+    order give that vote. The rest stably argsort ``cdist`` over their candidates."""
     if train_X.shape[0] == 0:
         raise ValueError("empty training set")
     if train_X.ndim != 2 or train_X.shape[1] == 0:
@@ -52,13 +52,8 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
         refine = (np.bincount(rows, minlength=out.size) > k) | (np.count_nonzero(top, axis=1) > 1)
         if not refine.any():
             continue
-        rows, cols = rows[refine[rows]], cols[refine[rows]]
-        dists, chunk = np.empty(rows.size), max(1, _BLOCK // d)
-        for s in range(0, rows.size, chunk):  # summed in feature order as cdist sums: bit-identical
-            r, c = rows[s:s + chunk], cols[s:s + chunk]
-            dists[s:s + chunk] = np.sqrt(np.add.accumulate((query[r] - train_X[c]) ** 2, axis=1)[:, -1])
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        labels = train_y[cols[np.lexsort((dists, rows))][starts[:, None] + np.arange(k)]]  # in rank order
+        cand = np.unique(cols[refine[rows]])  # ascending: holds each refined query's k nearest
+        labels = train_y[cand[np.argsort(cdist(query[refine], train_X[cand]), axis=1, kind="stable")[:, :k]]]
         ranks = np.arange(len(labels))[:, None]
         votes = np.bincount((ranks * n_classes + labels).ravel(), minlength=ranks.size * n_classes)
         votes = votes.reshape(-1, n_classes)

@@ -113,8 +113,8 @@ class SyntheticSpec:
 
     n_rows: int
     n_informative: int
-    n_redundant: int
-    n_noise: int
+    n_redundant: int = 0
+    n_noise: int = 0
     n_classes: int = 2
     seed: int = 0
 
@@ -125,10 +125,6 @@ class SyntheticSpec:
             raise DataError("synthetic spec needs at least 3 rows per class")
         if min(self.n_redundant, self.n_noise) < 0 or self.n_classes < 2:
             raise DataError("invalid synthetic spec")
-
-    @property
-    def n_features(self) -> int:
-        return self.n_informative + self.n_redundant + self.n_noise
 
 
 def load_csv(path, label_column: str, header: bool = True) -> RawTable:

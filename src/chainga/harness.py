@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -163,24 +163,20 @@ def load_run_config(path, **overrides) -> HarnessConfig:
     return cfg
 
 
-# SyntheticSpec's fields in order, as (manifest key, default); None marks a required key
-_SYNTHETIC_FIELDS = (
-    ("rows", None), ("informative", None), ("redundant", 0), ("noise", 0), ("classes", 2), ("seed", 0)
-)
-
-
 def build_dataset(cfg: HarnessConfig) -> Dataset:
     """Materialize the dataset a manifest describes (CSV or synthetic)."""
     manifest = cfg.manifest
     kind = manifest.get("type", "csv")
     if kind == "synthetic":
-        values = []
-        for name, default in _SYNTHETIC_FIELDS:
-            if default is None and name not in manifest:
+        values = {}
+        for spec_field in fields(SyntheticSpec):  # manifest keys drop the "n_"
+            name = spec_field.name.removeprefix("n_")
+            if name in manifest:
+                values[spec_field.name] = manifest[name]
+                _require_int(f"manifest {name}", manifest[name], minimum=0)
+            elif spec_field.default is MISSING:
                 raise ConfigError(f"synthetic manifest missing field {name!r}")
-            values.append(manifest.get(name, default))
-            _require_int(f"manifest {name}", values[-1], minimum=0)
-        dataset = generate_synthetic(SyntheticSpec(*values), bins=cfg.bins)
+        dataset = generate_synthetic(SyntheticSpec(**values), bins=cfg.bins)
     elif kind == "csv":
         for name in ("path", "label_column"):
             if name not in manifest:

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from chainga import classifier
 from chainga.classifier import (
@@ -71,18 +72,44 @@ def test_knn_rejects_bad_inputs():
         knn_predict(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros((1, 3)), k=1)
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 3])
-def test_knn_query_blocks_match_oracle(monkeypatch, rows_per_block):
-    # near-tie rows on the 0.01 grid; with d=41 the exact refine also runs
-    # in chunks (of 1 and of 2 pairs)
+@pytest.mark.parametrize(("rows_per_block", "equal_rows"), [(1, False), (3, False), (1, True), (3, True)],
+                         ids=["1", "3", "1-all-equal", "3-all-equal"])
+def test_knn_query_blocks_match_oracle(monkeypatch, rows_per_block, equal_rows):
+    # d=41 rows that permute one point on the 0.01 grid tie or nearly tie;
+    # all-equal rows tie exactly, so every query refines over all 30 rows
     rng = np.random.default_rng(7)
     base = rng.integers(0, 101, 41) / 100
     train = np.array([base[rng.permutation(41)] for _ in range(30)])
+    if equal_rows:
+        train = np.tile(base, (30, 1))
     labels = rng.integers(0, 4, 30)
     queries = np.concatenate([rng.integers(0, 101, (14, 41)) / 100, np.full((1, 41), 0.5), train[[0, 3]]])
     monkeypatch.setattr(classifier, "_BLOCK", rows_per_block * len(train))
     for k in (1, 5, 30, 32):
         assert np.array_equal(knn_predict(train, labels, queries, k), cdist_knn_predict(train, labels, queries, k))
+
+
+def test_knn_calls_cdist_once_per_refining_block_with_its_queries(monkeypatch):
+    calls = []
+
+    def recording_cdist(XA, XB):
+        calls.append((XA, XB))
+        return cdist(XA, XB)
+
+    monkeypatch.setattr(classifier, "cdist", recording_cdist)
+    # k=1 on well-separated rows: one candidate each, so every query settles
+    rng = np.random.default_rng(3)
+    train, labels, queries = rng.random((40, 5)), rng.integers(0, 3, 40), rng.random((25, 5))
+    assert np.array_equal(knn_predict(train, labels, queries, 1), cdist_knn_predict(train, labels, queries, 1))
+    assert calls == []
+    # all-equal training rows: every query refines, over every training row
+    train, labels, queries = np.full((10, 5), 0.5), labels[:10], queries[:6]
+    monkeypatch.setattr(classifier, "_BLOCK", 3 * len(train))  # two blocks of 3 queries
+    assert np.array_equal(knn_predict(train, labels, queries, 4), cdist_knn_predict(train, labels, queries, 4))
+    assert len(calls) == 2
+    for (refined, candidates), block in zip(calls, (queries[:3], queries[3:])):
+        assert np.array_equal(refined, block)
+        assert np.array_equal(candidates, train)
 
 
 def test_knn_deterministic():
