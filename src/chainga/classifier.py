@@ -123,7 +123,7 @@ class FitnessRecord:
 
 
 def mask_key(mask: np.ndarray) -> bytes:
-    return np.packbits(np.asarray(mask, dtype=bool)).tobytes()
+    return np.asarray(mask, dtype=bool).tobytes()
 
 
 @dataclass
@@ -131,7 +131,8 @@ class FitnessEvaluator:
     """Wrapper fitness: train KNN on the training partition, measure
     accuracy on the validation partition, combine with the compression
     reward. Results are cached by mask digest, so re-evaluating a mask
-    never re-runs the classifier.
+    never re-runs the classifier. The partitions are stored feature-major,
+    so a mask gathers contiguous rows.
     """
 
     dataset: Dataset
@@ -141,11 +142,11 @@ class FitnessEvaluator:
 
     def __post_init__(self):
         ds = self.dataset
-        self._train_X = ds.X_cont[ds.train_idx]
+        self._train_T = np.ascontiguousarray(ds.X_cont[ds.train_idx].T)
         self._train_y = ds.y[ds.train_idx]
-        self._val_X = ds.X_cont[ds.val_idx]
+        self._val_T = np.ascontiguousarray(ds.X_cont[ds.val_idx].T)
         self._val_y = ds.y[ds.val_idx]
-        self._test_X = ds.X_cont[ds.test_idx]
+        self._test_T = np.ascontiguousarray(ds.X_cont[ds.test_idx].T)
         self._test_y = ds.y[ds.test_idx]
 
     def evaluate(self, mask: np.ndarray) -> FitnessRecord:
@@ -161,7 +162,7 @@ class FitnessEvaluator:
             # sentinel: never wins a comparison against a real subset
             record = FitnessRecord(genes, 0.0, 0.0, 0)
         else:
-            pred = knn_predict(self._train_X[:, mask], self._train_y, self._val_X[:, mask], self.k)
+            pred = knn_predict(self._train_T[mask].T, self._train_y, self._val_T[mask].T, self.k)
             acc = np.count_nonzero(pred == self._val_y) / self._val_y.size
             fitness = combine_fitness(acc, n_selected, self.dataset.d, self.alpha)
             record = FitnessRecord(genes, fitness, acc, n_selected)
@@ -183,5 +184,5 @@ class FitnessEvaluator:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any():
             raise ValueError("cannot score an empty feature subset")
-        pred = knn_predict(self._train_X[:, mask], self._train_y, self._test_X[:, mask], self.k)
+        pred = knn_predict(self._train_T[mask].T, self._train_y, self._test_T[mask].T, self.k)
         return evaluate_metrics(self._test_y, pred, self.dataset.n_classes)

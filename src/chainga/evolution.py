@@ -188,18 +188,26 @@ def _crossover(
     {incumbent, child A, child B} in slot j; fitness ties keep the
     incumbent, then prefer child A. Every slot is read before any is
     written. One sweep finds every guided cut, drawing nothing from the
-    streams. Returns each step's two children."""
+    streams; the children are built as one array. Returns each step's
+    two children."""
+    n, d = len(steps), omega.d
     parents = np.array([(subpops[i][j].genes, subpops[i][(j + 1) % len(subpops[i])].genes)
-                        for i, j in steps]).reshape(len(steps), 2, omega.d)
-    if config.diversity_crossover:
-        guided = sweep_crossover(parents[:, 0], parents[:, 1], omega).tolist()
-    masks = []
+                        for i, j in steps]).reshape(n, 2, d)
+    cuts = sweep_crossover(parents[:, 0], parents[:, 1], omega) if config.diversity_crossover else np.ones(n, int)
+    # child c is parent c before the cut k and the other parent from k on, so it
+    # is empty when parent c's first gene is at or after k and the other's last is before k
+    pos = np.arange(d)
+    first = np.where(parents, pos, d).min(axis=2).tolist()
+    last = np.where(parents, pos, -1).max(axis=2)[:, ::-1].tolist()  # the other parent's
+    repairs = []  # (child, gene), drawn where and in the order a serial chain draws
     for t, (i, _) in enumerate(steps):
-        (a, b), rng = parents[t], rngs[i]
-        k = guided[t] if config.diversity_crossover else int(rng.integers(1, omega.d))
-        masks.append(_repair(np.concatenate([a[:k], b[k:]]), rng))
-        masks.append(_repair(np.concatenate([b[:k], a[k:]]), rng))
-    children = evaluate_many(masks)
+        if not config.diversity_crossover:
+            cuts[t] = rngs[i].integers(1, d)
+        repairs += [(2 * t + c, rngs[i].integers(0, d)) for c in (0, 1) if first[t][c] >= cuts[t] > last[t][c]]
+    children = np.where(pos < cuts[:, None, None], parents, parents[:, ::-1]).reshape(2 * n, d)
+    rows, genes = np.array(repairs, dtype=int).reshape(-1, 2).T
+    children[rows, genes] = True
+    children = evaluate_many(children)
     pairs = [children[t : t + 2] for t in range(0, len(children), 2)]
     for (i, j), pair in zip(steps, pairs):
         subpops[i][j] = _first_best([subpops[i][j], *pair])
@@ -249,18 +257,22 @@ def run(
     config: EvolutionConfig,
     omega: GainRatioMatrix | None = None,
     threads: int = 1,
+    cache: dict | None = None,
 ) -> RunResult:
     """Full evolutionary search: returns the globally best mask, its test
     metrics, and a per-generation trace.
 
     The global best is the first record of top fitness in serial chain
     order. With ``threads`` > 1 a pool scores each batch's new masks;
-    results and counters do not depend on it.
+    results and counters do not depend on it. A ``cache`` from earlier
+    runs on the same dataset, alpha and k is shared; the run counts only
+    the masks it adds.
     """
     start = time.perf_counter()
     if omega is None:
         omega = build_omega(dataset)
-    evaluator = FitnessEvaluator(dataset, config.alpha, config.knn_k)
+    evaluator = FitnessEvaluator(dataset, config.alpha, config.knn_k, {} if cache is None else cache)
+    known = len(evaluator.cache)
 
     masks = init_population(dataset.d, config, _stream(config.seed, 0))
     trace: list[TraceRow] = []
@@ -295,6 +307,6 @@ def run(
         feature_ratio=best.n_selected / dataset.d,
         trace=trace,
         wall_time_s=time.perf_counter() - start,
-        n_classifier_evals=len(evaluator.cache),
+        n_classifier_evals=len(evaluator.cache) - known,
         seed=config.seed,
     )

@@ -267,20 +267,22 @@ def write_table(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 
 def run_battery(
-    cfg: HarnessConfig, dataset: Dataset, omega: GainRatioMatrix, **flag_overrides
-) -> list[RunResult]:
-    results = []
+    cfg: HarnessConfig, dataset: Dataset, omega: GainRatioMatrix, variants: list[dict]
+) -> list[list[RunResult]]:
+    """Run each variant (overrides of flags, M or S) at every seed,
+    seed-major. A seed's runs share one fitness cache: fitness depends only
+    on the mask, the dataset, alpha and k, which no variant changes. Only
+    one seed's cache is alive at a time. Returns each variant's results in
+    seed order."""
+    results = [[] for _ in variants]
     for seed in cfg.seeds:
-        config = cfg.evolution_config(seed, **flag_overrides)
-        results.append(run(dataset, config, omega=omega, threads=cfg.threads))
-        log.info(
-            "seed %s done: fitness=%.6f acc=%.6f selected=%d/%d",
-            seed,
-            results[-1].best.fitness,
-            results[-1].metrics.accuracy,
-            results[-1].best.n_selected,
-            dataset.d,
-        )
+        cache = {}
+        for overrides, battery in zip(variants, results):
+            config = cfg.evolution_config(seed, **overrides)
+            battery.append(result := run(dataset, config, omega=omega, threads=cfg.threads, cache=cache))
+            log.info("seed %s%s done: fitness=%.6f acc=%.6f selected=%d/%d", seed,
+                     "".join(f" {name}={value}" for name, value in overrides.items()),
+                     result.best.fitness, result.metrics.accuracy, result.best.n_selected, dataset.d)
     return results
 
 
@@ -326,20 +328,20 @@ def _set_up(cfg: HarnessConfig, out_dir) -> tuple[Path, Dataset, GainRatioMatrix
     return out_dir, dataset, omega, cache_status
 
 
-def _median_row(
-    cfg: HarnessConfig, dataset: Dataset, omega: GainRatioMatrix, **overrides
-) -> tuple[dict, list[dict]]:
-    """One battery: its median metrics and its per-seed rows."""
-    rows = [result_row(r) for r in run_battery(cfg, dataset, omega, **overrides)]
-    medians = aggregate_rows(rows)[0]
-    return {metric: medians[metric] for metric in METRIC_FIELDS}, rows
+def _median_rows(
+    cfg: HarnessConfig, dataset: Dataset, omega: GainRatioMatrix, variants: list[dict]
+) -> list[tuple[dict, list[dict]]]:
+    """One battery over the variants: each one's median metrics and per-seed rows."""
+    per_seed = [[result_row(r) for r in results] for results in run_battery(cfg, dataset, omega, variants)]
+    medians = [aggregate_rows(rows)[0] for rows in per_seed]
+    return [({metric: median[metric] for metric in METRIC_FIELDS}, rows) for median, rows in zip(medians, per_seed)]
 
 
 def cmd_run(cfg: HarnessConfig, out_dir) -> list[RunResult]:
     """One battery with the configured flags; writes per-seed and aggregate
     tables plus the trace and the run manifest."""
     out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
-    results = run_battery(cfg, dataset, omega)
+    results = run_battery(cfg, dataset, omega, [{}])[0]
     rows = [result_row(r) for r in results]
     write_table(out_dir / "per_seed.csv", PER_SEED_FIELDS, rows)
     write_table(out_dir / "aggregate.csv", ["stat", *METRIC_FIELDS], aggregate_rows(rows))
@@ -363,9 +365,9 @@ def cmd_ablation(cfg: HarnessConfig, out_dir) -> list[dict]:
     out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
 
     table, detail = [], []
-    for flags in ABLATION_ROWS:
+    variants = [dict(zip(FLAGS.values(), flags)) for flags in ABLATION_ROWS]
+    for flags, (medians, rows) in zip(ABLATION_ROWS, _median_rows(cfg, dataset, omega, variants)):
         cells = {column: CHECK if on else CROSS for column, on in zip(FLAGS, flags)}
-        medians, rows = _median_row(cfg, dataset, omega, **dict(zip(FLAGS.values(), flags)))
         table.append({**cells, **medians})
         detail += [{**cells, **row} for row in rows]
 
@@ -391,10 +393,9 @@ def cmd_sensitivity(cfg: HarnessConfig, parameter: str, values: list[int], out_d
         cfg.evolution_config(0, **{key: int(value)})
 
     out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
-    table = []
-    for value in values:
-        medians, _ = _median_row(cfg, dataset, omega, **{key: int(value)})
-        table.append({"parameter": parameter, "value": value, **medians})
+    variants = [{key: int(value)} for value in values]
+    table = [{"parameter": parameter, "value": value, **medians}
+             for value, (medians, _) in zip(values, _median_rows(cfg, dataset, omega, variants))]
 
     write_table(out_dir / "sensitivity.csv", ["parameter", "value", *METRIC_FIELDS], table)
     _write_run_manifest(

@@ -5,6 +5,7 @@ loops, per-candidate enumeration) or is the loop-based predecessor of an
 optimised kernel. Nothing shares code with the package beyond ``score``
 and its near-tie tolerance, except ``serial_generation``, which replays
 the GA's own operators on its fitness records one chain step at a time,
+and ``loop_crossover``, which keeps the GA's best-of-three selection,
 and the data-layer predecessors, which build the package's own tables
 with its missing tokens and its stratified split, and the one-pair
 crossover sweep, which breaks near-ties with the package's
@@ -24,7 +25,7 @@ from scipy.spatial.distance import cdist
 
 from chainga.criterion import _NEAR_TIE, _as_mask, _break_tie, score, sweep_crossover
 from chainga.data import MISSING_TOKENS, TRAIN, DataError, Dataset, RawTable, _stratified_split
-from chainga.evolution import _repair, _stream, mutation_step
+from chainga.evolution import _first_best, _repair, _stream, mutation_step
 from chainga.infotheory import GainRatioMatrix
 
 GRAM_BLOCK = 2**20  # entries of one query block's key matrix in gram_knn_predict
@@ -431,6 +432,29 @@ def gram_nearest(query_X: np.ndarray, train_X: np.ndarray, k: int) -> np.ndarray
     counts = np.bincount(rows, minlength=n_query)
     starts = np.cumsum(counts) - counts
     return cols[order][starts[:, None] + np.arange(k)]
+
+
+def loop_crossover(subpops, steps, omega, config, rngs, evaluate_many):
+    """The predecessor of ``evolution._crossover``: builds each step's two
+    children one at a time with ``np.concatenate`` and ``_repair``, drawing
+    the uniform cut, then child A's repair, then child B's, step by step.
+    Scores every child in one batch and keeps the best of three per slot.
+    Returns each step's two children."""
+    parents = np.array([(subpops[i][j].genes, subpops[i][(j + 1) % len(subpops[i])].genes)
+                        for i, j in steps]).reshape(len(steps), 2, omega.d)
+    if config.diversity_crossover:
+        guided = sweep_crossover(parents[:, 0], parents[:, 1], omega).tolist()
+    masks = []
+    for t, (i, _) in enumerate(steps):
+        (a, b), rng = parents[t], rngs[i]
+        k = guided[t] if config.diversity_crossover else int(rng.integers(1, omega.d))
+        masks.append(_repair(np.concatenate([a[:k], b[k:]]), rng))
+        masks.append(_repair(np.concatenate([b[:k], a[k:]]), rng))
+    children = evaluate_many(masks)
+    pairs = [children[t : t + 2] for t in range(0, len(children), 2)]
+    for (i, j), pair in zip(steps, pairs):
+        subpops[i][j] = _first_best([subpops[i][j], *pair])
+    return pairs
 
 
 def _serial_chain_step(subpop, j, omega, config, rng, evaluate, evaluated):

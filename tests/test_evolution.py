@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chainga import evolution
+from chainga import classifier, evolution
 from chainga.classifier import FitnessEvaluator, FitnessRecord
 from chainga.data import SyntheticSpec, generate_synthetic
 from chainga.evolution import (
@@ -17,6 +17,7 @@ from chainga.evolution import (
     mutation_step,
     run,
 )
+from chainga.harness import ABLATION_ROWS, FLAGS
 from chainga.infotheory import GainRatioMatrix, build_omega
 from oracles import oracle_crossover
 
@@ -361,6 +362,35 @@ def test_run_threads_bit_identical(small_dataset):
     assert np.array_equal(serial.best.genes, threaded.best.genes)
     assert serial.best == threaded.best
     assert serial.n_classifier_evals == threaded.n_classifier_evals
+
+
+def test_run_on_a_warm_cache_counts_only_its_own_knn_runs(small_dataset, monkeypatch):
+    knn_runs = []
+    predict = classifier.knn_predict
+    monkeypatch.setattr(classifier, "knn_predict", lambda *args: knn_runs.append(1) or predict(*args))
+    base = dict(population_size=8, subpopulations=2, elites=1, generations=4, mutation_prob=0.5, seed=3)
+    cache = {}
+    run(small_dataset, EvolutionConfig(**base), cache=cache)
+    known = len(cache)
+    knn_runs.clear()
+    warm = run(small_dataset, EvolutionConfig(**base, diversity_crossover=False), cache=cache)
+    assert warm.n_classifier_evals == len(knn_runs) - 1 == len(cache) - known  # one scores the test split
+    cold = run(small_dataset, EvolutionConfig(**base, diversity_crossover=False))
+    assert warm.trace == cold.trace and warm.best == cold.best
+    assert np.array_equal(warm.best.genes, cold.best.genes)
+    assert warm.n_classifier_evals < cold.n_classifier_evals  # the first run's masks were cached
+
+
+def test_run_shared_cache_counters_do_not_depend_on_threads(small_dataset):
+    base = dict(population_size=8, subpopulations=2, elites=1, generations=4, mutation_prob=0.5, seed=5)
+    configs = [EvolutionConfig(**base, **dict(zip(FLAGS.values(), flags))) for flags in ABLATION_ROWS]
+
+    def battery(threads):
+        cache = {}
+        results = [run(small_dataset, cfg, threads=threads, cache=cache) for cfg in configs]
+        return [(r.n_classifier_evals, r.trace, r.best, r.best.genes.tolist()) for r in results], len(cache)
+
+    assert battery(1) == battery(3)
 
 
 def test_run_all_flags_off_is_single_population_random_ga(small_dataset):

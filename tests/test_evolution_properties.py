@@ -1,4 +1,5 @@
-"""Property tests: the batched generation against its serial predecessor."""
+"""Property tests: the batched generation against its serial predecessor, and
+the array-built crossover phase against its loop predecessor."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from chainga.classifier import FitnessRecord, mask_key
 from chainga.evolution import (
     EvolutionConfig,
+    _crossover,
     _first_best,
     _generation,
     _stream,
@@ -17,7 +19,7 @@ from chainga.evolution import (
     migrate_elites,
 )
 from chainga.infotheory import GainRatioMatrix
-from oracles import serial_generation
+from oracles import loop_crossover, serial_generation
 
 
 def _tie_heavy_fitness(levels):
@@ -31,6 +33,12 @@ def _tie_heavy_fitness(levels):
         return FitnessRecord(genes, value, value, int(genes.sum()))
 
     return evaluate
+
+
+def _random_omega(rng, d):
+    ff = rng.choice([0.0, 0.5, 1.0], size=(d, d))
+    np.fill_diagonal(ff, 0.0)
+    return GainRatioMatrix(rng.choice([0.0, 0.5, 1.0], size=d), ff)
 
 
 def _copy(subpops):
@@ -63,10 +71,7 @@ def test_generation_matches_serial_predecessor(d, m, size, elites, flags, mutati
         elite_interaction=elite_interaction, diversity_crossover=diversity_crossover,
         diversity_mutation=diversity_mutation,
     )
-    rng = np.random.default_rng(seed)
-    ff = rng.choice([0.0, 0.5, 1.0], size=(d, d))
-    np.fill_diagonal(ff, 0.0)
-    omega = GainRatioMatrix(rng.choice([0.0, 0.5, 1.0], size=d), ff)
+    omega = _random_omega(np.random.default_rng(seed), d)
     evaluate = _tie_heavy_fitness(levels)
 
     batched = [[evaluate(genes) for genes in chain] for chain in init_population(d, cfg, _stream(seed, 0))]
@@ -87,3 +92,38 @@ def test_generation_matches_serial_predecessor(d, m, size, elites, flags, mutati
             migrate_elites(batched, cfg.elites)
             migrate_elites(serial, cfg.elites)
         assert [_state(sp) for sp in batched] == [_state(sp) for sp in serial]
+
+
+@st.composite
+def _chains(draw):
+    """1-3 chains of 1-4 masks over d genes. About half the masks carry one
+    set gene, so some children come out empty and get repaired."""
+    d = draw(st.integers(2, 8))
+    sparse = st.integers(0, d - 1).map(lambda g: np.arange(d) == g)
+    dense = st.lists(st.booleans(), min_size=d, max_size=d).filter(any).map(np.array)
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    return d, [[draw(st.one_of(sparse, dense)) for _ in range(size)] for size in sizes]
+
+
+@given(chains=_chains(), guided=st.booleans(), levels=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(chains=(5, [[np.arange(5) == g for g in (4, 0, 3, 1)]]), guided=False, levels=2, seed=0)
+@example(chains=(5, [[np.arange(5) == g for g in (4, 0, 3, 1)]]), guided=True, levels=2, seed=0)
+def test_crossover_matches_loop_predecessor(chains, guided, levels, seed):
+    """Children, slot winners and each stream's next draw, over both
+    phases of a generation (the inner steps, then the ring closures)."""
+    d, genes = chains
+    cfg = EvolutionConfig(diversity_crossover=guided)
+    omega = _random_omega(np.random.default_rng(seed), d)
+    evaluate = _tie_heavy_fitness(levels)
+    evaluate_many = lambda masks: [evaluate(g) for g in masks]  # noqa: E731
+    built = [[evaluate(g) for g in chain] for chain in genes]
+    looped = _copy(built)
+    built_rngs, looped_rngs = ([_stream(seed, 1, 1, i) for i in range(len(genes))] for _ in range(2))
+    inner = [(i, j) for i, sp in enumerate(built) for j in range(len(sp) - 1)]
+    closing = [(i, len(sp) - 1) for i, sp in enumerate(built) if len(sp) > 1]
+    for steps in (inner, closing):
+        new = _crossover(built, steps, omega, cfg, built_rngs, evaluate_many)
+        old = loop_crossover(looped, steps, omega, cfg, looped_rngs, evaluate_many)
+        assert [_state(pair) for pair in new] == [_state(pair) for pair in old]
+        assert [_state(sp) for sp in built] == [_state(sp) for sp in looped]
+    assert [rng.integers(2**62) for rng in built_rngs] == [rng.integers(2**62) for rng in looped_rngs]

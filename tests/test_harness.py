@@ -505,6 +505,34 @@ def test_sensitivity_single_value_matches_run(tmp_path):
         assert f"{rows[0][metric]:.6f}" == median[metric]
 
 
+@pytest.mark.parametrize("command", ["ablation", "sensitivity"])
+def test_seed_shared_fitness_cache_leaves_every_file_byte_identical(tmp_path, monkeypatch, command):
+    """The oracle gives every row (or swept value) a fresh fitness cache;
+    sharing one per seed changes no byte and saves KNN runs."""
+    config_path = write_configs(tmp_path, evolution=dict(EVOLUTION, population_size=12))
+    run = harness.run
+
+    def outputs(out, fresh):
+        evals = []
+
+        def recording(*args, cache=None, **kwargs):
+            result = run(*args, cache=None if fresh else cache, **kwargs)
+            evals.append(result.n_classifier_evals)
+            return result
+
+        monkeypatch.setattr(harness, "run", recording)
+        if command == "ablation":
+            cmd_ablation(load_run_config(config_path), out)
+        else:
+            cmd_sensitivity(load_run_config(config_path), "M", [1, 3, 4], out)
+        return {path.name: path.read_bytes() for path in out.iterdir()}, evals
+
+    shared, shared_evals = outputs(tmp_path / "shared", fresh=False)
+    fresh, fresh_evals = outputs(tmp_path / "fresh", fresh=True)
+    assert shared == fresh
+    assert sum(shared_evals) < sum(fresh_evals)
+
+
 def test_omega_dump_then_run_hits_cache(tmp_path, caplog):
     config_path = write_configs(tmp_path)
     cache = tmp_path / "omega.bin"
