@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
-Subcommands: run, ablation, sensitivity, omega-dump. Exit codes: 0 on
-success, 1 for configuration errors (a bad command line included), 2 for
-data errors.
+Subcommands: run, ablation, sensitivity. Exit codes: 0 on success, 1 for
+configuration errors (a bad command line or an unknown config key
+included), 2 for data errors.
 """
 
 from __future__ import annotations
@@ -13,14 +13,7 @@ import sys
 
 from . import __version__
 from .data import DataError
-from .harness import (
-    ConfigError,
-    cmd_ablation,
-    cmd_omega_dump,
-    cmd_run,
-    cmd_sensitivity,
-    load_run_config,
-)
+from .harness import ConfigError, cmd_ablation, cmd_run, cmd_sensitivity, load_run_config
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,23 +23,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"config error: {message}\n")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
+def _add_flags(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
     sub.add_argument("--config", required=True, help="run config or dataset manifest (YAML)")
-    sub.add_argument("--out", required=True, help="output directory (file for omega-dump)")
+    sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--subsample", type=int, help="stratified row cap for large datasets")
     sub.add_argument("--bins", type=int, help="discretization bin count")
-    return sub
-
-
-def _add_search(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    _add_common(sub)  # and the flags of the subcommands that run the GA
     sub.add_argument("--seeds", type=int, nargs="+", help="override the seed battery")
     sub.add_argument("--threads", type=int,
                      help="threads that score each batch's new masks; results and counters do not depend on it")
     sub.add_argument("--pm", type=float, help="mutation probability")
     sub.add_argument("--alpha", type=float, help="fitness trade-off coefficient")
     sub.add_argument("--k", type=int, help="KNN neighbour count")
-    sub.add_argument("--omega-cache", help="path for the gain-ratio matrix cache")
     return sub
 
 
@@ -58,26 +45,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chainga {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    _add_search(commands.add_parser("run", help="seed battery with the configured flags"))
-    _add_search(commands.add_parser("ablation", help="six-row operator-flag ablation"))
-    sensitivity = _add_search(commands.add_parser("sensitivity", help="sweep M or S"))
+    _add_flags(commands.add_parser("run", help="seed battery with the configured flags"))
+    _add_flags(commands.add_parser("ablation", help="six-row operator-flag ablation"))
+    sensitivity = _add_flags(commands.add_parser("sensitivity", help="sweep M or S"))
     sensitivity.add_argument("--parameter", required=True, choices=["M", "S", "m", "s"])
     sensitivity.add_argument("--values", required=True, type=int, nargs="+")
-    _add_common(commands.add_parser("omega-dump", help="precompute the gain-ratio matrix"))
     return parser
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))  # omega-dump has no search flags
+    args = vars(build_parser().parse_args(argv))
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
 
     try:
-        cfg = load_run_config(
-            args["config"],
-            **{key: args.get(key) for key in ("seeds", "subsample", "threads", "bins", "omega_cache")},
-        )
+        overrides = {key: args[key] for key in ("seeds", "subsample", "threads", "bins")}
+        cfg = load_run_config(args["config"], **overrides)
         for key, flag in (("mutation_prob", "pm"), ("alpha", "alpha"), ("knn_k", "k")):
-            if args.get(flag) is not None:
+            if args[flag] is not None:
                 cfg.evolution[key] = args[flag]
         cfg.evolution_config(0)  # fail fast on bad evolution settings
 
@@ -88,8 +72,6 @@ def main(argv=None) -> int:
             cmd_ablation(cfg, out)
         elif command == "sensitivity":
             cmd_sensitivity(cfg, args["parameter"], args["values"], out)
-        elif command == "omega-dump":
-            cmd_omega_dump(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

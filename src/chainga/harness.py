@@ -28,7 +28,7 @@ from .data import (
     subsample_raw,
 )
 from .evolution import EvolutionConfig, RunResult, TraceRow, run
-from .infotheory import GainRatioMatrix, build_omega, load_omega, save_omega
+from .infotheory import GainRatioMatrix, build_omega
 
 log = logging.getLogger("chainga")
 
@@ -67,7 +67,6 @@ class HarnessConfig:
     subsample: int | None = None
     split_seed: int = 0
     threads: int = 1
-    omega_cache: Path | None = None
 
     def evolution_config(self, seed: int, **overrides) -> EvolutionConfig:
         kwargs = dict(self.evolution)
@@ -100,18 +99,33 @@ def _require_int(name: str, value, minimum: int | None = None) -> None:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
+# keys a run config file may set: 'dataset' plus the HarnessConfig fields read from the file
+RUN_KEYS = {"dataset"} | {f.name for f in fields(HarnessConfig)} - {"manifest", "manifest_dir"}
+CSV_KEYS = {"type", "path", "label_column", "header"}
+SYNTHETIC_KEYS = {"type"} | {f.name.removeprefix("n_") for f in fields(SyntheticSpec)}
+
+
+def _reject_unknown(mapping: dict, known: set, where: str) -> None:
+    unknown = sorted(set(mapping) - known, key=str)
+    if unknown:
+        raise ConfigError(f"{where} has unknown key(s) {', '.join(map(repr, unknown))}; "
+                          f"known keys: {', '.join(sorted(known))}")
+
+
 def load_run_config(path, **overrides) -> HarnessConfig:
     """Read a YAML run config; keyword overrides win over file values.
 
     A bare dataset manifest (a mapping with a 'type' key) is accepted too
-    and paired with default evolution settings. Field types are checked
+    and paired with default settings. A key the config does not know is an
+    error; a null value counts as an absent key. Field types are checked
     after the overrides are applied.
     """
     path = Path(path)
     raw = _load_yaml(path)
-    dataset_ref = raw.get("dataset")
-    if dataset_ref is None and "type" in raw:
-        dataset_ref, raw = dict(raw), {}
+    if "dataset" not in raw and "type" in raw:
+        raw = {"dataset": raw}
+    _reject_unknown(raw, RUN_KEYS, str(path))
+    dataset_ref = raw.pop("dataset", None)
     if dataset_ref is None:
         raise ConfigError(f"{path}: missing 'dataset' entry")
     if isinstance(dataset_ref, str):
@@ -124,27 +138,11 @@ def load_run_config(path, **overrides) -> HarnessConfig:
     else:
         raise ConfigError(f"{path}: 'dataset' must be a path or inline mapping")
 
-    cache = raw.get("omega_cache")
-    seeds = raw.get("seeds")
-    evolution = raw.get("evolution")
-    if evolution is not None and not isinstance(evolution, dict):
+    values = {key: value for key, value in raw.items() if value is not None}
+    values.update((key, value) for key, value in overrides.items() if value is not None)
+    if not isinstance(values.get("evolution", {}), dict):
         raise ConfigError(f"{path}: 'evolution' must be a mapping")
-    if cache is not None and not isinstance(cache, str):
-        raise ConfigError(f"{path}: 'omega_cache' must be a path")
-    cfg = HarnessConfig(
-        manifest=manifest,
-        manifest_dir=manifest_dir,
-        evolution=dict(evolution or {}),
-        seeds=[1, 2, 3, 4, 5] if seeds is None else seeds,
-        bins=raw.get("bins", manifest.get("bins", 10)),
-        subsample=raw.get("subsample"),
-        split_seed=raw.get("split_seed", 0),
-        threads=raw.get("threads", 1),
-        omega_cache=(path.parent / cache) if cache else None,
-    )
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
+    cfg = HarnessConfig(manifest=manifest, manifest_dir=manifest_dir, **values)
     if not isinstance(cfg.seeds, list) or not cfg.seeds:
         raise ConfigError(f"seed list must be a non-empty list of integers, got {cfg.seeds!r}")
     for seed in cfg.seeds:
@@ -154,7 +152,7 @@ def load_run_config(path, **overrides) -> HarnessConfig:
     _require_int("threads", cfg.threads, minimum=1)
     _require_int("bins", cfg.bins, minimum=2)
     _require_int("split_seed", cfg.split_seed, minimum=0)
-    if "split_seed" in raw and manifest.get("type") == "synthetic":
+    if "split_seed" in values and manifest.get("type") == "synthetic":
         raise ConfigError("split_seed applies only to csv manifests")
     if cfg.subsample is not None:
         _require_int("subsample", cfg.subsample, minimum=1)
@@ -168,6 +166,7 @@ def build_dataset(cfg: HarnessConfig) -> Dataset:
     manifest = cfg.manifest
     kind = manifest.get("type", "csv")
     if kind == "synthetic":
+        _reject_unknown(manifest, SYNTHETIC_KEYS, "synthetic manifest")
         values = {}
         for spec_field in fields(SyntheticSpec):  # manifest keys drop the "n_"
             name = spec_field.name.removeprefix("n_")
@@ -178,6 +177,7 @@ def build_dataset(cfg: HarnessConfig) -> Dataset:
                 raise ConfigError(f"synthetic manifest missing field {name!r}")
         dataset = generate_synthetic(SyntheticSpec(**values), bins=cfg.bins)
     elif kind == "csv":
+        _reject_unknown(manifest, CSV_KEYS, "csv manifest")
         for name in ("path", "label_column"):
             if name not in manifest:
                 raise ConfigError(f"csv manifest missing field {name!r}")
@@ -200,33 +200,11 @@ def build_dataset(cfg: HarnessConfig) -> Dataset:
     return dataset
 
 
-def obtain_omega(dataset: Dataset, cache_path: Path | None) -> tuple[GainRatioMatrix, str]:
-    """Compute the gain-ratio matrix, or reuse a dump whose key matches the
-    dataset digest. Returns (matrix, cache status)."""
-    if cache_path is None:
-        return build_omega(dataset), "disabled"
-    cache_path = Path(cache_path)
-    digest = dataset.digest()
-    status = "miss-created"
-    try:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        if cache_path.exists():
-            status = "mismatch-recomputed"
-            try:
-                omega, key = load_omega(cache_path)
-            except ValueError as exc:
-                log.info("omega cache unreadable (%s); recomputing", exc)
-            else:
-                if key == digest and omega.d == dataset.d:
-                    log.info("omega cache hit (%s)", cache_path)
-                    return omega, "hit"
-                log.info("omega cache key mismatch; recomputing")
-        omega = build_omega(dataset)
-        save_omega(cache_path, omega, digest)
-    except OSError as exc:
-        raise ConfigError(f"cannot use omega cache {cache_path}: {exc}") from exc
-    log.info("omega cache written (%s, %s)", cache_path, status)
-    return omega, status
+def obtain_omega(dataset: Dataset) -> GainRatioMatrix:
+    """The gain-ratio matrix of the dataset's training partition. The
+    benchmark's tracer times this call as set-up, so it stays a function
+    that looks up ``build_omega`` when called."""
+    return build_omega(dataset)
 
 
 def _fmt(x: float) -> str:
@@ -311,21 +289,16 @@ def _write_run_manifest(out_dir: Path, cfg: HarnessConfig, dataset: Dataset, ext
 PER_SEED_FIELDS = ["seed", *METRIC_FIELDS, "n_selected", "mask"]
 
 
-def _make_dir(directory: Path, purpose: str) -> None:
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create {purpose}: {exc}") from exc
-
-
-def _set_up(cfg: HarnessConfig, out_dir) -> tuple[Path, Dataset, GainRatioMatrix, str]:
+def _set_up(cfg: HarnessConfig, out_dir) -> tuple[Path, Dataset, GainRatioMatrix]:
     """Create the output directory, then build the dataset and its
-    gain-ratio matrix. Returns (directory, dataset, matrix, cache status)."""
+    gain-ratio matrix. Returns (directory, dataset, matrix)."""
     out_dir = Path(out_dir)
-    _make_dir(out_dir, f"output directory {out_dir}")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     dataset = build_dataset(cfg)
-    omega, cache_status = obtain_omega(dataset, cfg.omega_cache)
-    return out_dir, dataset, omega, cache_status
+    return out_dir, dataset, obtain_omega(dataset)
 
 
 def _median_rows(
@@ -340,7 +313,7 @@ def _median_rows(
 def cmd_run(cfg: HarnessConfig, out_dir) -> list[RunResult]:
     """One battery with the configured flags; writes per-seed and aggregate
     tables plus the trace and the run manifest."""
-    out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
+    out_dir, dataset, omega = _set_up(cfg, out_dir)
     results = run_battery(cfg, dataset, omega, [{}])[0]
     rows = [result_row(r) for r in results]
     write_table(out_dir / "per_seed.csv", PER_SEED_FIELDS, rows)
@@ -356,13 +329,13 @@ def cmd_run(cfg: HarnessConfig, out_dir) -> list[RunResult]:
         [{"seed": r.seed, "wall_time_s": f"{r.wall_time_s:.3f}", "classifier_evals": r.n_classifier_evals}
          for r in results],
     )
-    _write_run_manifest(out_dir, cfg, dataset, {"command": "run", "omega_cache": cache_status})
+    _write_run_manifest(out_dir, cfg, dataset, {"command": "run"})
     return results
 
 
 def cmd_ablation(cfg: HarnessConfig, out_dir) -> list[dict]:
     """Six-row ablation over the operator flags, medians across seeds."""
-    out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
+    out_dir, dataset, omega = _set_up(cfg, out_dir)
 
     table, detail = [], []
     variants = [dict(zip(FLAGS.values(), flags)) for flags in ABLATION_ROWS]
@@ -373,7 +346,7 @@ def cmd_ablation(cfg: HarnessConfig, out_dir) -> list[dict]:
 
     write_table(out_dir / "ablation.csv", [*FLAGS, *METRIC_FIELDS], table)
     write_table(out_dir / "ablation_per_seed.csv", [*FLAGS, *PER_SEED_FIELDS], detail)
-    _write_run_manifest(out_dir, cfg, dataset, {"command": "ablation", "omega_cache": cache_status})
+    _write_run_manifest(out_dir, cfg, dataset, {"command": "ablation"})
     return table
 
 
@@ -392,23 +365,14 @@ def cmd_sensitivity(cfg: HarnessConfig, parameter: str, values: list[int], out_d
     for value in values:  # validate the whole sweep before burning any compute
         cfg.evolution_config(0, **{key: int(value)})
 
-    out_dir, dataset, omega, cache_status = _set_up(cfg, out_dir)
+    out_dir, dataset, omega = _set_up(cfg, out_dir)
     variants = [{key: int(value)} for value in values]
     table = [{"parameter": parameter, "value": value, **medians}
              for value, (medians, _) in zip(values, _median_rows(cfg, dataset, omega, variants))]
 
     write_table(out_dir / "sensitivity.csv", ["parameter", "value", *METRIC_FIELDS], table)
     _write_run_manifest(
-        out_dir, cfg, dataset,
-        {"command": "sensitivity", "parameter": parameter, "values": list(values),
-         "omega_cache": cache_status},
+        out_dir, cfg, dataset, {"command": "sensitivity", "parameter": parameter, "values": list(values)}
     )
     return table
 
-
-def cmd_omega_dump(cfg: HarnessConfig, out_path) -> str:
-    """Precompute the gain-ratio matrix and dump it keyed by dataset digest.
-    A dump that already matches the dataset is kept; returns the cache status."""
-    out_path = Path(out_path)
-    _make_dir(out_path.parent, f"omega dump {out_path}")
-    return obtain_omega(build_dataset(cfg), out_path)[1]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,44 +117,3 @@ def build_omega(dataset: Dataset, rows: np.ndarray | None = None) -> GainRatioMa
     np.clip(fc, 0.0, 1.0, out=fc)
     np.clip(ff, 0.0, 1.0, out=ff)
     return GainRatioMatrix(fc, ff)
-
-
-_DUMP_MAGIC = b"chainga-omega-2\n"
-
-
-def save_omega(path, omega: GainRatioMatrix, key: str) -> None:
-    """Dump the matrix keyed by its dataset digest.
-
-    Flat little-endian layout (magic, JSON header, fc, ff) so identical
-    matrices always produce identical bytes.
-    """
-    header = json.dumps({"key": key, "d": omega.d}).encode() + b"\n"
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(header)
-        fh.write(np.ascontiguousarray(omega.fc, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(omega.ff, dtype="<f8").tobytes())
-
-
-def load_omega(path) -> tuple[GainRatioMatrix, str]:
-    """Load a dumped matrix; callers compare the returned key against the
-    current dataset digest before trusting it.
-
-    Raises ValueError when the file is not a complete, well-formed dump.
-    """
-    with open(path, "rb") as fh:
-        if fh.read(len(_DUMP_MAGIC)) != _DUMP_MAGIC:
-            raise ValueError(f"{path} is not a gain-ratio matrix dump")
-        try:
-            header = json.loads(fh.readline())
-            d, key = int(header["d"]), str(header["key"])
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"{path} has a malformed header") from exc
-        body = fh.read()
-    if d < 0 or len(body) != 8 * (d + d * d):
-        raise ValueError(f"{path} holds {len(body)} matrix bytes, not {8 * (d + d * d)} for d={d}")
-    values = np.frombuffer(body, dtype="<f8")
-    fc, ff = values[:d].copy(), values[d:].reshape(d, d).copy()
-    if not ((values >= 0.0) & (values <= 1.0)).all() or ff.diagonal().any():
-        raise ValueError(f"{path} holds values that are not gain ratios")
-    return GainRatioMatrix(fc, ff), key

@@ -7,7 +7,6 @@ from chainga.harness import (
     ConfigError,
     aggregate_rows,
     cmd_ablation,
-    cmd_omega_dump,
     cmd_run,
     cmd_sensitivity,
     load_run_config,
@@ -229,22 +228,6 @@ def test_cli_too_few_rows_for_every_partition_is_data_error(tmp_path, capsys):
     assert "data error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "cache",
-    [lambda tmp: tmp, lambda tmp: tmp / "run.yaml" / "omega.bin"],
-    ids=["existing-directory", "under-a-file"],
-)
-def test_cli_unusable_omega_cache_is_config_error(tmp_path, capsys, monkeypatch, cache):
-    config_path = write_configs(tmp_path)
-    built = []
-    monkeypatch.setattr(harness, "build_omega", lambda dataset: built.append(dataset))
-    args = ["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
-            "--omega-cache", str(cache(tmp_path))]
-    assert cli.main(args) == 1
-    assert "config error:" in capsys.readouterr().err
-    assert not built  # the cache path fails before the matrix is built
-
-
 def test_cli_run_out_on_an_existing_file_is_config_error(tmp_path, capsys):
     config_path = write_configs(tmp_path)
     out = tmp_path / "taken"
@@ -255,24 +238,15 @@ def test_cli_run_out_on_an_existing_file_is_config_error(tmp_path, capsys):
     assert out.read_text() == "not a directory\n"
 
 
-def test_cli_omega_dump_out_on_an_existing_directory_is_config_error(tmp_path, capsys):
+def test_cli_run_out_under_a_file_fails_before_building(tmp_path, capsys, monkeypatch):
     config_path = write_configs(tmp_path)
-    out = tmp_path / "dump"
-    out.mkdir()
-    assert cli.main(["omega-dump", "--config", str(config_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "config error:" in err and str(out) in err and "Traceback" not in err
-
-
-def test_cli_omega_dump_out_under_a_file_fails_before_building(tmp_path, capsys, monkeypatch):
-    config_path = write_configs(tmp_path)
-    out = tmp_path / "run.yaml" / "omega.bin"
+    out = tmp_path / "run.yaml" / "out"
 
     def must_not_build(cfg):
         raise AssertionError("the dataset was built before the output path was checked")
 
     monkeypatch.setattr(harness, "build_dataset", must_not_build)
-    assert cli.main(["omega-dump", "--config", str(config_path), "--out", str(out)]) == 1
+    assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err and str(out) in err and "Traceback" not in err
 
@@ -281,6 +255,7 @@ def test_cli_omega_dump_out_under_a_file_fails_before_building(tmp_path, capsys,
     "extra, flags, error",
     [
         ({}, [], None),  # the config as written runs
+        ({"bins": None, "threads": None, "subsample": None}, [], None),  # null counts as absent
         ({"seeds": 5}, [], "seed list"),
         ({"seeds": ["a"]}, [], "seed must be an integer"),
         ({"seeds": [1.5]}, [], "seed must be an integer"),
@@ -295,7 +270,9 @@ def test_cli_omega_dump_out_under_a_file_fails_before_building(tmp_path, capsys,
         ({"subsample": 0}, [], "subsample must be >= 1"),
         ({"evolution": [1]}, [], "'evolution' must be a mapping"),
         ({"evolution": dict(EVOLUTION, chain_mode="ring")}, [], "chain_mode"),
-        ({"omega_cache": 5}, [], "'omega_cache' must be a path"),
+        ({"omega_cache": 5}, [], "unknown key(s) 'omega_cache'"),
+        ({"omega_cache": "omega.bin"}, [], "unknown key(s) 'omega_cache'"),
+        ({"seed": [7]}, [], "unknown key(s) 'seed'"),
         ({"bins": 1}, [], "bins must be >= 2"),
         ({}, ["--bins", "1"], "bins must be >= 2"),
         ({"evolution": dict(EVOLUTION, population_size=30.0)}, [], "population_size must be an integer"),
@@ -311,9 +288,10 @@ def test_cli_omega_dump_out_under_a_file_fails_before_building(tmp_path, capsys,
         ({"subsample": 10}, [], "subsample applies only to csv manifests"),
         ({}, ["--subsample", "10"], "subsample applies only to csv manifests"),
     ],
-    ids=["valid", "seeds-int", "seeds-str", "seeds-float", "seeds-bool", "seeds-flag-negative",
+    ids=["valid", "nulls-absent", "seeds-int", "seeds-str", "seeds-float", "seeds-bool", "seeds-flag-negative",
          "threads-str", "threads-zero", "threads-flag-zero", "bins-str", "split-seed-list",
          "subsample-str", "subsample-zero", "evolution-list", "evolution-chain-mode", "omega-cache-int",
+         "omega-cache-path", "seed-misspelt",
          "bins-one", "bins-flag-one", "population-size-float", "generations-float", "knn-k-float",
          "elites-float", "elites-bool", "alpha-bool", "diversity-crossover-str", "seeds-repeated",
          "seeds-flag-repeated", "subsample-synthetic", "subsample-flag-synthetic"],
@@ -352,11 +330,14 @@ CSV_MANIFEST = {"type": "csv", "path": "table.csv", "label_column": "class", "he
         (dict(CSV_MANIFEST, header="no"), "manifest header must be true or false"),
         (dict(CSV_MANIFEST, header=1), "manifest header must be true or false"),
         ({k: v for k, v in CSV_MANIFEST.items() if k != "path"}, "missing field 'path'"),
+        (dict(MANIFEST, nosie=3), "synthetic manifest has unknown key(s) 'nosie'"),
+        (dict(MANIFEST, bins=6), "synthetic manifest has unknown key(s) 'bins'"),
+        (dict(CSV_MANIFEST, headr=False), "csv manifest has unknown key(s) 'headr'"),
     ],
     ids=["synthetic-valid", "csv-valid", "rows-str", "rows-float", "informative-bool",
          "redundant-str", "noise-list", "classes-float", "seed-str", "seed-negative",
          "noise-negative", "rows-missing", "path-int", "label-column-int", "header-str",
-         "header-int", "path-missing"],
+         "header-int", "path-missing", "synthetic-misspelt", "synthetic-bins", "csv-misspelt"],
 )
 def test_cli_invalid_manifest_field_is_config_error(tmp_path, capsys, manifest, error):
     rows = ["a,b,class"] + [f"{i},{i % 3},{'xy'[i % 2]}" for i in range(20)]
@@ -376,10 +357,10 @@ def test_cli_invalid_manifest_field_is_config_error(tmp_path, capsys, manifest, 
     [
         (["run", "--out", "x"], "--config"),
         (["run", "--config", "run.yaml", "--out", "x", "--seeds", "x"], "--seeds"),
-        (["omega-dump", "--config", "run.yaml", "--out", "x", "--omega-cache", "c"], "--omega-cache"),
-        (["omega-dump", "--config", "run.yaml", "--out", "x", "--seeds", "7"], "--seeds"),
+        (["omega-dump", "--config", "run.yaml", "--out", "x", "--omega-cache", "c"], "'omega-dump'"),
+        (["run", "--config", "run.yaml", "--out", "x", "--omega-cache", "c"], "--omega-cache"),
     ],
-    ids=["missing-config", "seeds-str", "omega-dump-omega-cache", "omega-dump-seeds"],
+    ids=["missing-config", "seeds-str", "omega-dump-omega-cache", "run-omega-cache"],
 )
 def test_cli_usage_error_is_config_error(capsys, argv, error):
     with pytest.raises(SystemExit) as exc:
@@ -533,99 +514,32 @@ def test_seed_shared_fitness_cache_leaves_every_file_byte_identical(tmp_path, mo
     assert sum(shared_evals) < sum(fresh_evals)
 
 
-def test_omega_dump_then_run_hits_cache(tmp_path, caplog):
-    config_path = write_configs(tmp_path)
-    cache = tmp_path / "omega.bin"
-    assert cli.main(["omega-dump", "--config", str(config_path), "--out", str(cache)]) == 0
-    cfg = load_run_config(config_path, omega_cache=cache)
-    import logging
-
-    with caplog.at_level(logging.INFO, logger="chainga"):
-        cmd_run(cfg, tmp_path / "out")
-    assert any("omega cache hit" in message for message in caplog.messages)
-    manifest = yaml.safe_load((tmp_path / "out" / "run_manifest.yaml").read_text())
-    assert manifest["omega_cache"] == "hit"
-
-
-def test_omega_cache_mismatch_recomputes(tmp_path):
-    config_path = write_configs(tmp_path)
-    cache = tmp_path / "omega.bin"
-    cmd_omega_dump(load_run_config(config_path), cache)
-    changed = write_configs(tmp_path / "other", manifest=dict(MANIFEST, seed=6))
-    cfg = load_run_config(changed, omega_cache=cache)
-    cmd_run(cfg, tmp_path / "out")
-    manifest = yaml.safe_load((tmp_path / "out" / "run_manifest.yaml").read_text())
-    assert manifest["omega_cache"] == "mismatch-recomputed"
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda data: b"not-a-dump\n" + data,  # bad magic
-        # a dump from the per-pair build, whose bits differ from a fresh build
-        lambda data: data.replace(b"chainga-omega-2\n", b"chainga-omega-1\n", 1),
-        lambda data: data[: data.index(b"\n") + 5],  # truncated JSON header
-        lambda data: data.replace(b'"d": ', b'"d": "x', 1),  # header not JSON
-        lambda data: data[:-8],  # ff one value short
-        lambda data: data + b"\0" * 8,  # trailing bytes
-        lambda data: data.replace(b'"d": 6}', b'"d": 7}', 1),  # body too short for d
-    ],
-    ids=["magic", "old-magic", "truncated-header", "bad-json", "short-body", "long-body", "wrong-d"],
-)
-def test_cli_corrupt_omega_cache_recomputes(tmp_path, corrupt):
-    config_path = write_configs(tmp_path)
-    reference = tmp_path / "reference"
-    assert cli.main(["run", "--config", str(config_path), "--out", str(reference)]) == 0
-    cache = tmp_path / "omega.bin"
-    assert cli.main(["omega-dump", "--config", str(config_path), "--out", str(cache)]) == 0
-    good = cache.read_bytes()
-    cache.write_bytes(corrupt(good))
-
-    out = tmp_path / "out"
-    args = ["run", "--config", str(config_path), "--out", str(out), "--omega-cache", str(cache)]
-    assert cli.main(args) == 0
-    manifest = yaml.safe_load((out / "run_manifest.yaml").read_text())
-    assert manifest["omega_cache"] == "mismatch-recomputed"
-    for name in ("per_seed.csv", "aggregate.csv", "trace.csv"):
-        assert (out / name).read_bytes() == (reference / name).read_bytes()
-    assert cache.read_bytes() == good
-
-
-def test_omega_dump_twice_identical(tmp_path):
-    config_path = write_configs(tmp_path)
-    c1, c2 = tmp_path / "c1.bin", tmp_path / "c2.bin"
-    cmd_omega_dump(load_run_config(config_path), c1)
-    cmd_omega_dump(load_run_config(config_path), c2)
-    assert c1.read_bytes() == c2.read_bytes()
-
-
-@pytest.mark.parametrize(
-    "old, status",
-    [
-        (lambda tmp, dump: cmd_omega_dump(
-            load_run_config(write_configs(tmp / "other", manifest=dict(MANIFEST, seed=6))), dump
-        ), "mismatch-recomputed"),
-        (lambda tmp, dump: dump.write_bytes(b"chainga-omega-2\n{not json\n"), "mismatch-recomputed"),
-        (lambda tmp, dump: cmd_omega_dump(load_run_config(tmp / "run.yaml"), dump), "hit"),
-    ],
-    ids=["other-dataset", "corrupt", "same-dataset"],
-)
-def test_omega_dump_over_an_existing_file(tmp_path, old, status):
-    config_path = write_configs(tmp_path)
-    fresh, dump = tmp_path / "fresh.bin", tmp_path / "omega.bin"
-    cmd_omega_dump(load_run_config(config_path), fresh)
-    old(tmp_path, dump)
-    assert cmd_omega_dump(load_run_config(config_path), dump) == status
-    assert dump.read_bytes() == fresh.read_bytes()
-
-
 def test_bare_manifest_accepted_as_config(tmp_path):
     manifest_path = tmp_path / "dataset.yaml"
     manifest_path.write_text(yaml.safe_dump(MANIFEST), encoding="utf-8")
     cfg = load_run_config(manifest_path)
-    assert cfg.manifest["type"] == "synthetic"
-    cmd_omega_dump(cfg, tmp_path / "omega.bin")
-    assert (tmp_path / "omega.bin").exists()
+    assert cfg.manifest == MANIFEST and cfg.evolution == {}
+    assert (cfg.seeds, cfg.bins, cfg.split_seed, cfg.threads) == ([1, 2, 3, 4, 5], 10, 0, 1)
+    assert harness.build_dataset(cfg).d == 6
+
+
+def test_bare_manifest_with_an_unknown_key_is_config_error(tmp_path, capsys):
+    manifest_path = tmp_path / "dataset.yaml"
+    manifest_path.write_text(yaml.safe_dump(dict(MANIFEST, seeds=[1])), encoding="utf-8")
+    assert cli.main(["run", "--config", str(manifest_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: synthetic manifest has unknown key(s) 'seeds'" in err
+
+
+def test_set_up_builds_omega_through_the_traced_hook(tmp_path, monkeypatch):
+    """The benchmark times ``harness.obtain_omega`` as set-up; it must be
+    the one path to ``build_omega``, not an alias the tracer wraps instead."""
+    calls = []
+    obtain, build = harness.obtain_omega, harness.build_omega
+    monkeypatch.setattr(harness, "obtain_omega", lambda dataset: calls.append("obtain") or obtain(dataset))
+    monkeypatch.setattr(harness, "build_omega", lambda dataset: calls.append("build") or build(dataset))
+    cmd_run(load_run_config(write_configs(tmp_path, seeds=(1,))), tmp_path / "out")
+    assert calls == ["obtain", "build"]
 
 
 def test_trace_rows_cover_all_generations(tmp_path):

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from chainga.data import RawTable, SyntheticSpec, generate_synthetic, prepare
-from chainga.infotheory import (
-    build_omega,
-    entropy,
-    information_gain,
-    load_omega,
-    save_omega,
-)
+from chainga.infotheory import build_omega, entropy, information_gain
 from oracles import ref_entropy, ref_gain_ratio_tables, ref_information_gain
 
 
@@ -156,40 +150,3 @@ def test_omega_redundant_copy_outscores_noise():
         noise_ff = omega.ff[src, 6:]
         assert omega.ff[src, copy] > noise_ff.max()
 
-
-def test_omega_dump_roundtrip(tmp_path, small_dataset):
-    omega = build_omega(small_dataset)
-    path = tmp_path / "omega.bin"
-    save_omega(path, omega, key="abc123")
-    loaded, key = load_omega(path)
-    assert key == "abc123"
-    assert np.array_equal(loaded.fc, omega.fc)
-    assert np.array_equal(loaded.ff, omega.ff)
-
-
-def test_load_omega_rejects_incomplete_or_invalid_dumps(tmp_path, small_dataset):
-    omega = build_omega(small_dataset)
-    path = tmp_path / "omega.bin"
-    save_omega(path, omega, key="k")
-    good = path.read_bytes()
-    header_end = good.index(b"\n", good.index(b"\n") + 1) + 1
-    nan = np.array([np.nan]).tobytes()
-    diagonal_one = good[: header_end + 8 * omega.d] + np.array([1.0]).tobytes()
-    for data in (
-        b"",
-        good[:header_end],
-        good[:-1],
-        good[:header_end] + nan + good[header_end + 8 :],
-        diagonal_one + good[len(diagonal_one) :],
-    ):
-        path.write_bytes(data)
-        with pytest.raises(ValueError):
-            load_omega(path)
-
-
-def test_omega_dump_deterministic_bytes(tmp_path, small_dataset):
-    omega = build_omega(small_dataset)
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_omega(p1, omega, key="k")
-    save_omega(p2, omega, key="k")
-    assert p1.read_bytes() == p2.read_bytes()
