@@ -26,14 +26,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_flags(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
     sub.add_argument("--config", required=True, help="run config or dataset manifest (YAML)")
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--subsample", type=int, help="stratified row cap for large datasets")
-    sub.add_argument("--bins", type=int, help="discretization bin count")
     sub.add_argument("--seeds", type=int, nargs="+", help="override the seed battery")
     sub.add_argument("--threads", type=int,
                      help="threads that score each batch's new masks; results and counters do not depend on it")
-    sub.add_argument("--pm", type=float, help="mutation probability")
-    sub.add_argument("--alpha", type=float, help="fitness trade-off coefficient")
-    sub.add_argument("--k", type=int, help="KNN neighbour count")
     return sub
 
 
@@ -58,13 +53,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
 
     try:
-        overrides = {key: args[key] for key in ("seeds", "subsample", "threads", "bins")}
-        cfg = load_run_config(args["config"], **overrides)
-        for key, flag in (("mutation_prob", "pm"), ("alpha", "alpha"), ("knn_k", "k")):
-            if args[flag] is not None:
-                cfg.evolution[key] = args[flag]
-        cfg.evolution_config(0)  # fail fast on bad evolution settings
-
+        cfg = load_run_config(args["config"], seeds=args["seeds"], threads=args["threads"])
         command, out = args["command"], args["out"]
         if command == "run":
             cmd_run(cfg, out)

@@ -24,14 +24,13 @@ class DataError(Exception):
 class RawTable:
     """Column-typed table as parsed from a CSV file.
 
-    Numeric columns are float64 arrays, categorical columns are object
-    arrays of strings. ``imputed`` records how many missing entries were
-    filled per column (median for numeric, mode for categorical).
+    A column's dtype is its type: numeric columns are float64 arrays,
+    categorical ones object arrays of strings. ``imputed`` counts the
+    missing entries filled per column (median if numeric, else mode).
     """
 
     names: list[str]
     columns: list[np.ndarray]
-    is_numeric: list[bool]
     label_column: str
     imputed: dict[str, int] = field(default_factory=dict)
 
@@ -93,7 +92,7 @@ class Dataset:
         return self.indices(TEST)
 
     def digest(self) -> str:
-        """Content hash keying derived caches (gain-ratio matrix, results)."""
+        """Content hash that identifies the dataset in ``run_manifest.yaml``."""
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.X_disc).tobytes())
         h.update(np.ascontiguousarray(self.y).tobytes())
@@ -175,7 +174,6 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
         raise DataError(f"label column {label_column!r} not present in {path}")
 
     columns: list[np.ndarray] = []
-    is_numeric: list[bool] = []
     imputed: dict[str, int] = {}
     for name, col in zip(names, zip(*body)):
         cells = [v.strip() for v in col]
@@ -202,9 +200,8 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
             values = full
             imputed[name] = n_missing
         columns.append(values)
-        is_numeric.append(numeric)
 
-    raw = RawTable(names, columns, is_numeric, label_column, imputed)
+    raw = RawTable(names, columns, label_column, imputed)
     if len(np.unique(raw.label_values().astype(str))) < 2:
         raise DataError(f"label column {label_column!r} has fewer than 2 distinct values")
     return raw
@@ -268,16 +265,13 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
     split = _stratified_split(y, len(class_names), split_seed)
     train = split == TRAIN
 
-    feat_cols = [
-        (name, col, num)
-        for name, col, num in zip(raw.names, raw.columns, raw.is_numeric)
-        if name != raw.label_column
-    ]
+    feat_cols = [(name, col) for name, col in zip(raw.names, raw.columns) if name != raw.label_column]
     n, d = raw.n_rows, len(feat_cols)
     X_cont = np.zeros((n, d), dtype=np.float64)
     X_disc = np.zeros((n, d), dtype=np.int64)
 
-    for j, (_, col, numeric) in enumerate(feat_cols):
+    for j, (_, col) in enumerate(feat_cols):
+        numeric = col.dtype != object
         if numeric:
             values = col.astype(np.float64)
         else:
@@ -326,7 +320,7 @@ def generate_synthetic(spec: SyntheticSpec, bins: int = 10) -> Dataset:
     )
     columns = [X[:, j].copy() for j in range(X.shape[1])]
     columns.append(np.array([f"c{v}" for v in y], dtype=object))
-    raw = RawTable(names + ["class"], columns, [True] * len(names) + [False], "class")
+    raw = RawTable(names + ["class"], columns, "class")
     return prepare(raw, bins=bins, split_seed=spec.seed)
 
 
@@ -358,4 +352,4 @@ def subsample_raw(raw: RawTable, cap: int, seed) -> RawTable:
     ]
     sel = np.sort(np.concatenate(keep))
     columns = [col[sel] for col in raw.columns]
-    return RawTable(raw.names, columns, raw.is_numeric, raw.label_column, dict(raw.imputed))
+    return RawTable(raw.names, columns, raw.label_column, dict(raw.imputed))

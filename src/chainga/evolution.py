@@ -4,11 +4,11 @@ A chromosome is the evaluator's ``FitnessRecord``: a read-only mask and
 its cached score. Each subpopulation is an ordered chain: every
 chromosome crosses over with its successor (closing the ring), the best
 of {incumbent, child A, child B} takes the slot, and a mutation pass
-follows. At the end of each generation the top elites of every
+follows. At the end of each generation the top S elites of every
 subpopulation replace the worst chromosomes of the next one along the
-ring. The crossover cut and mutation site are chosen by the gain-ratio
-subset criterion when the diversity flags are on, and uniformly at
-random otherwise.
+ring; none move when M = 1 or S = 0. The crossover cut and mutation
+site are chosen by the gain-ratio subset criterion when the diversity
+flags are on, and uniformly at random otherwise.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ class EvolutionConfig:
     alpha: float = 0.01
     knn_k: int = 5
     seed: int = 0
-    multi_pop: bool = True
-    elite_interaction: bool = True
     diversity_crossover: bool = True
     diversity_mutation: bool = True
 
@@ -58,15 +56,15 @@ class EvolutionConfig:
                 f"subpopulation count must be in [1, {self.population_size}], "
                 f"got {self.subpopulations}"
             )
-        if self.multi_pop and self.population_size % self.subpopulations:
+        if self.population_size % self.subpopulations:
             raise ValueError(
                 f"subpopulation count {self.subpopulations} must divide "
                 f"population size {self.population_size}"
             )
-        if not 0 <= self.elites <= self.population_size // self.effective_m:
+        if not 0 <= self.elites <= self.population_size // self.subpopulations:
             raise ValueError(
                 f"elite count {self.elites} exceeds subpopulation size "
-                f"{self.population_size // self.effective_m}"
+                f"{self.population_size // self.subpopulations}"
             )
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError(f"mutation probability must be in [0, 1], got {self.mutation_prob}")
@@ -76,10 +74,6 @@ class EvolutionConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.knn_k < 1:
             raise ValueError(f"knn k must be >= 1, got {self.knn_k}")
-
-    @property
-    def effective_m(self) -> int:
-        return self.subpopulations if self.multi_pop else 1
 
 
 @dataclass
@@ -117,9 +111,9 @@ def init_population(
     d: int, config: EvolutionConfig, rng: np.random.Generator
 ) -> list[list[np.ndarray]]:
     """Uniform random bit masks dealt into M chains of N/M masks."""
-    size = config.population_size // config.effective_m
+    size = config.population_size // config.subpopulations
     return [[_repair(rng.integers(0, 2, size=d).astype(bool), rng) for _ in range(size)]
-            for _ in range(config.effective_m)]
+            for _ in range(config.subpopulations)]
 
 
 def mutation_step(
@@ -284,8 +278,7 @@ def run(
         best = _first_best(population)
         for gen in range(1, config.generations + 1):
             best = _first_best([best, *_generation(subpops, gen, omega, config, evaluate_many)])
-            if config.elite_interaction:
-                migrate_elites(subpops, config.elites)
+            migrate_elites(subpops, config.elites)
             for i, subpop in enumerate(subpops):
                 values = [record.fitness for record in subpop]
                 top = int(np.argmax(values))

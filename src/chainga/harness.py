@@ -35,12 +35,13 @@ log = logging.getLogger("chainga")
 METRIC_FIELDS = ("accuracy", "precision", "recall", "f1_score", "feature_ratio", "fitness")
 AGGREGATE_STATS = {"median": statistics.median, "mean": statistics.fmean, "min": min, "max": max}
 
-# ablation column -> EvolutionConfig flag; ABLATION_ROWS give the flags in this order
-FLAGS = {
-    "m_pop": "multi_pop",
-    "e_iter": "elite_interaction",
-    "d_cro": "diversity_crossover",
-    "d_mut": "diversity_mutation",
+# ablation column -> EvolutionConfig overrides (on, off), one population being M = 1 and
+# no migration S = 0; each ABLATION_ROWS row switches the columns on (True) or off, in order
+COMPONENTS = {
+    "m_pop": ({}, {"subpopulations": 1}),
+    "e_iter": ({}, {"elites": 0}),
+    "d_cro": ({"diversity_crossover": True}, {"diversity_crossover": False}),
+    "d_mut": ({"diversity_mutation": True}, {"diversity_mutation": False}),
 }
 ABLATION_ROWS = (
     (False, False, False, False),
@@ -51,6 +52,11 @@ ABLATION_ROWS = (
     (True, True, True, True),
 )
 CHECK, CROSS = "✓", "×"
+
+
+def ablation_overrides(row: tuple[bool, ...]) -> dict:
+    """The EvolutionConfig overrides of one ``ABLATION_ROWS`` row."""
+    return {k: v for (on, off), state in zip(COMPONENTS.values(), row) for k, v in (on if state else off).items()}
 
 
 class ConfigError(Exception):
@@ -112,13 +118,36 @@ def _reject_unknown(mapping: dict, known: set, where: str) -> None:
                           f"known keys: {', '.join(sorted(known))}")
 
 
+def _check_manifest(manifest: dict) -> None:
+    kind = manifest.get("type", "csv")
+    if kind == "synthetic":
+        _reject_unknown(manifest, SYNTHETIC_KEYS, "synthetic manifest")
+        for spec_field in fields(SyntheticSpec):  # manifest keys drop the "n_"
+            name = spec_field.name.removeprefix("n_")
+            if name in manifest:
+                _require_int(f"manifest {name}", manifest[name], minimum=0)
+            elif spec_field.default is MISSING:
+                raise ConfigError(f"synthetic manifest missing field {name!r}")
+    elif kind == "csv":
+        _reject_unknown(manifest, CSV_KEYS, "csv manifest")
+        for name in ("path", "label_column"):
+            if name not in manifest:
+                raise ConfigError(f"csv manifest missing field {name!r}")
+            if not isinstance(manifest[name], str):
+                raise ConfigError(f"manifest {name} must be a string, got {manifest[name]!r}")
+        if not isinstance(manifest.get("header", True), bool):
+            raise ConfigError(f"manifest header must be true or false, got {manifest['header']!r}")
+    else:
+        raise ConfigError(f"unknown dataset manifest type {kind!r}")
+
+
 def load_run_config(path, **overrides) -> HarnessConfig:
     """Read a YAML run config; keyword overrides win over file values.
 
     A bare dataset manifest (a mapping with a 'type' key) is accepted too
     and paired with default settings. A key the config does not know is an
-    error; a null value counts as an absent key. Field types are checked
-    after the overrides are applied.
+    error; a null value counts as an absent key. Every setting is checked
+    here, the manifest and evolution config included, after the overrides.
     """
     path = Path(path)
     raw = _load_yaml(path)
@@ -152,46 +181,28 @@ def load_run_config(path, **overrides) -> HarnessConfig:
     _require_int("threads", cfg.threads, minimum=1)
     _require_int("bins", cfg.bins, minimum=2)
     _require_int("split_seed", cfg.split_seed, minimum=0)
-    if "split_seed" in values and manifest.get("type") == "synthetic":
-        raise ConfigError("split_seed applies only to csv manifests")
     if cfg.subsample is not None:
         _require_int("subsample", cfg.subsample, minimum=1)
-        if manifest.get("type") == "synthetic":
-            raise ConfigError("subsample applies only to csv manifests")
+    _check_manifest(manifest)
+    for key in ("split_seed", "subsample"):  # a synthetic manifest splits by its own seed
+        if key in values and manifest.get("type") == "synthetic":
+            raise ConfigError(f"{key} applies only to csv manifests")
+    cfg.evolution_config(0)
     return cfg
 
 
 def build_dataset(cfg: HarnessConfig) -> Dataset:
-    """Materialize the dataset a manifest describes (CSV or synthetic)."""
+    """Materialize the dataset of a manifest that ``load_run_config`` checked."""
     manifest = cfg.manifest
-    kind = manifest.get("type", "csv")
-    if kind == "synthetic":
-        _reject_unknown(manifest, SYNTHETIC_KEYS, "synthetic manifest")
-        values = {}
-        for spec_field in fields(SyntheticSpec):  # manifest keys drop the "n_"
-            name = spec_field.name.removeprefix("n_")
-            if name in manifest:
-                values[spec_field.name] = manifest[name]
-                _require_int(f"manifest {name}", manifest[name], minimum=0)
-            elif spec_field.default is MISSING:
-                raise ConfigError(f"synthetic manifest missing field {name!r}")
-        dataset = generate_synthetic(SyntheticSpec(**values), bins=cfg.bins)
-    elif kind == "csv":
-        _reject_unknown(manifest, CSV_KEYS, "csv manifest")
-        for name in ("path", "label_column"):
-            if name not in manifest:
-                raise ConfigError(f"csv manifest missing field {name!r}")
-            if not isinstance(manifest[name], str):
-                raise ConfigError(f"manifest {name} must be a string, got {manifest[name]!r}")
-        header = manifest.get("header", True)
-        if not isinstance(header, bool):
-            raise ConfigError(f"manifest header must be true or false, got {header!r}")
-        raw = load_csv(cfg.manifest_dir / manifest["path"], manifest["label_column"], header=header)
+    if manifest.get("type") == "synthetic":
+        spec = {f.name: manifest[key] for f in fields(SyntheticSpec) if (key := f.name.removeprefix("n_")) in manifest}
+        dataset = generate_synthetic(SyntheticSpec(**spec), bins=cfg.bins)
+    else:
+        raw = load_csv(cfg.manifest_dir / manifest["path"], manifest["label_column"],
+                       header=manifest.get("header", True))
         if cfg.subsample:
             raw = subsample_raw(raw, cfg.subsample, cfg.split_seed)
         dataset = prepare(raw, bins=cfg.bins, split_seed=cfg.split_seed)
-    else:
-        raise ConfigError(f"unknown dataset manifest type {kind!r}")
     # fitness needs validation rows and the final report needs test rows
     for part, idx in (("train", dataset.train_idx), ("validation", dataset.val_idx),
                       ("test", dataset.test_idx)):
@@ -338,14 +349,14 @@ def cmd_ablation(cfg: HarnessConfig, out_dir) -> list[dict]:
     out_dir, dataset, omega = _set_up(cfg, out_dir)
 
     table, detail = [], []
-    variants = [dict(zip(FLAGS.values(), flags)) for flags in ABLATION_ROWS]
-    for flags, (medians, rows) in zip(ABLATION_ROWS, _median_rows(cfg, dataset, omega, variants)):
-        cells = {column: CHECK if on else CROSS for column, on in zip(FLAGS, flags)}
+    variants = [ablation_overrides(row) for row in ABLATION_ROWS]
+    for row, (medians, rows) in zip(ABLATION_ROWS, _median_rows(cfg, dataset, omega, variants)):
+        cells = {column: CHECK if on else CROSS for column, on in zip(COMPONENTS, row)}
         table.append({**cells, **medians})
-        detail += [{**cells, **row} for row in rows]
+        detail += [{**cells, **seed_row} for seed_row in rows]
 
-    write_table(out_dir / "ablation.csv", [*FLAGS, *METRIC_FIELDS], table)
-    write_table(out_dir / "ablation_per_seed.csv", [*FLAGS, *PER_SEED_FIELDS], detail)
+    write_table(out_dir / "ablation.csv", [*COMPONENTS, *METRIC_FIELDS], table)
+    write_table(out_dir / "ablation_per_seed.csv", [*COMPONENTS, *PER_SEED_FIELDS], detail)
     _write_run_manifest(out_dir, cfg, dataset, {"command": "ablation"})
     return table
 
@@ -362,11 +373,11 @@ def cmd_sensitivity(cfg: HarnessConfig, parameter: str, values: list[int], out_d
         raise ConfigError(f"sensitivity values repeat a value: {list(values)!r}")
 
     key = "subpopulations" if parameter == "M" else "elites"
-    for value in values:  # validate the whole sweep before burning any compute
-        cfg.evolution_config(0, **{key: int(value)})
+    variants = [{key: value} for value in values]
+    for overrides in variants:  # validate the whole sweep before burning any compute
+        cfg.evolution_config(0, **overrides)
 
     out_dir, dataset, omega = _set_up(cfg, out_dir)
-    variants = [{key: int(value)} for value in values]
     table = [{"parameter": parameter, "value": value, **medians}
              for value, (medians, _) in zip(values, _median_rows(cfg, dataset, omega, variants))]
 

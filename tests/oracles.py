@@ -550,7 +550,6 @@ def two_pass_load_csv(path, label_column: str, header: bool = True) -> RawTable:
 
     cells = [[row[j].strip() for row in body] for j in range(width)]
     columns: list[np.ndarray] = []
-    is_numeric: list[bool] = []
     imputed: dict[str, int] = {}
     for name, col in zip(names, cells):
         present = [v for v in col if v.lower() not in MISSING_TOKENS]
@@ -576,9 +575,8 @@ def two_pass_load_csv(path, label_column: str, header: bool = True) -> RawTable:
         if n_missing:
             imputed[name] = n_missing
         columns.append(values)
-        is_numeric.append(numeric)
 
-    raw = RawTable(names, columns, is_numeric, label_column, imputed)
+    raw = RawTable(names, columns, label_column, imputed)
     if len(np.unique(raw.label_values().astype(str))) < 2:
         raise DataError(f"label column {label_column!r} has fewer than 2 distinct values")
     return raw
@@ -598,16 +596,13 @@ def dict_prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
     split = _stratified_split(y, len(class_names), split_seed)
     train = split == TRAIN
 
-    feat_cols = [
-        (name, col, num)
-        for name, col, num in zip(raw.names, raw.columns, raw.is_numeric)
-        if name != raw.label_column
-    ]
+    feat_cols = [(name, col) for name, col in zip(raw.names, raw.columns) if name != raw.label_column]
     n, d = raw.n_rows, len(feat_cols)
     X_cont = np.zeros((n, d), dtype=np.float64)
     X_disc = np.zeros((n, d), dtype=np.int64)
 
-    for j, (_, col, numeric) in enumerate(feat_cols):
+    for j, (_, col) in enumerate(feat_cols):
+        numeric = col.dtype != object
         if numeric:
             values = col.astype(np.float64)
         else:

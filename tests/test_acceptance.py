@@ -47,8 +47,8 @@ def benchmark_protocol(seed, **overrides):
 
 
 ALL_OFF = dict(
-    multi_pop=False,
-    elite_interaction=False,
+    subpopulations=1,
+    elites=0,
     diversity_crossover=False,
     diversity_mutation=False,
 )

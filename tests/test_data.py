@@ -25,7 +25,7 @@ def test_load_csv_basic(tmp_path):
     raw = load_csv(path, "class")
     assert raw.n_rows == 4
     assert [n for n in raw.names if n != "class"] == ["a", "b"]
-    assert raw.is_numeric == [True, False, False]
+    assert [column.dtype != object for column in raw.columns] == [True, False, False]
 
 
 def test_load_csv_ragged_row(tmp_path):
@@ -83,7 +83,7 @@ def test_load_csv_no_header(tmp_path):
 def test_load_csv_inf_is_a_category_in_text_columns(tmp_path):
     path = _write(tmp_path, "a,class\nlow,x\ninf,y\nlow,x\n")
     raw = load_csv(path, "class")
-    assert raw.is_numeric == [False, False]
+    assert [column.dtype for column in raw.columns] == [object, object]
 
 
 def test_load_csv_imputes_and_reports(tmp_path):
@@ -122,7 +122,6 @@ def _three_row_table():
     return RawTable(
         names=["v", "class"],
         columns=[np.array([0.0, 5.0, 10.0]), np.array(["a", "b", "a"], dtype=object)],
-        is_numeric=[True, False],
         label_column="class",
     )
 
@@ -138,7 +137,6 @@ def test_prepare_constant_column():
     table = RawTable(
         names=["v", "class"],
         columns=[np.array([7.0, 7.0, 7.0]), np.array(["a", "b", "a"], dtype=object)],
-        is_numeric=[True, False],
         label_column="class",
     )
     with pytest.warns(UserWarning):
@@ -157,7 +155,6 @@ def _balanced_table(n=100):
     return RawTable(
         names=["x", "class"],
         columns=[rng.random(n), np.array(["p"] * (n // 2) + ["q"] * (n // 2), dtype=object)],
-        is_numeric=[True, False],
         label_column="class",
     )
 
@@ -190,7 +187,6 @@ def test_prepare_rank_order_preserved():
     table = RawTable(
         names=["x", "class"],
         columns=[values, np.array(["a", "b"] * 30, dtype=object)],
-        is_numeric=[True, False],
         label_column="class",
     )
     ds = prepare(table, bins=8, split_seed=0)
@@ -203,7 +199,6 @@ def test_prepare_equal_values_get_equal_bins():
     table = RawTable(
         names=["x", "class"],
         columns=[values, np.array(["a", "b"] * 40, dtype=object)],
-        is_numeric=[True, False],
         label_column="class",
     )
     ds = prepare(table, bins=3, split_seed=0)
@@ -218,7 +213,6 @@ def test_prepare_small_class_fallback_warns():
             np.arange(23, dtype=float),
             np.array(["a"] * 10 + ["b"] * 11 + ["rare"] * 2, dtype=object),
         ],
-        is_numeric=[True, False],
         label_column="class",
     )
     with pytest.warns(UserWarning, match="fewer than 3"):

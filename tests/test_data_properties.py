@@ -26,7 +26,6 @@ def class_tables(draw, min_classes=1):
     table = RawTable(
         ["id", "class"],
         [np.arange(labels.size, dtype=float), labels.astype(object)],
-        [True, False],
         "class",
     )
     return table, len(counts)
@@ -93,20 +92,21 @@ def test_load_csv_and_prepare_properties(table, bins, split_seed):
     missing = {name: sum(r[j].strip().lower() in MISSING_TOKENS for r in rows)
                for j, name in enumerate(header[:-1])}
     assert raw.imputed == {name: count for name, count in missing.items() if count}
-    for numeric, column in zip(raw.is_numeric, raw.columns):
-        assert not numeric or np.isfinite(column).all()
+    for column in raw.columns:
+        assert column.dtype == object or np.isfinite(column).all()
     assert np.isfinite(ds.X_cont).all()
     assert ((ds.X_cont >= 0) & (ds.X_cont <= 1)).all()
 
     train = ds.split == TRAIN
     for j, kind in enumerate(kinds):
-        assert raw.is_numeric[j] == (kind in ("numeric", "constant"))
-        if raw.is_numeric[j]:
-            assert ds.X_disc[:, j].min() >= 0 and ds.X_disc[:, j].max() <= bins - 1
         values = raw.columns[j]
+        numeric = values.dtype != object
+        assert numeric == (kind in ("numeric", "constant"))
+        if numeric:
+            assert ds.X_disc[:, j].min() >= 0 and ds.X_disc[:, j].max() <= bins - 1
         # a categorical column keeps its category codes in the discrete view,
         # so only one that is constant over the whole table is all zero there
-        constant = len(set(values[train])) == 1 and (raw.is_numeric[j] or len(set(values)) == 1)
+        constant = len(set(values[train])) == 1 and (numeric or len(set(values)) == 1)
         if constant:
             assert not ds.X_cont[:, j].any() and not ds.X_disc[:, j].any()
 
@@ -178,8 +178,7 @@ def test_load_csv_and_prepare_match_their_predecessors(rows, bins, split_seed):
     if ref_ds is None:
         assert raw == ref_raw  # the same data error
         return
-    assert (raw.names, raw.label_column, raw.is_numeric, raw.imputed) == (
-        ref_raw.names, ref_raw.label_column, ref_raw.is_numeric, ref_raw.imputed)
+    assert (raw.names, raw.label_column, raw.imputed) == (ref_raw.names, ref_raw.label_column, ref_raw.imputed)
     for column, ref in zip(raw.columns, ref_raw.columns, strict=True):
         assert column.dtype == ref.dtype and column.tolist() == ref.tolist()
         assert column.dtype == object or column.tobytes() == ref.tobytes()  # -0.0 too

@@ -17,7 +17,7 @@ from chainga.evolution import (
     mutation_step,
     run,
 )
-from chainga.harness import ABLATION_ROWS, FLAGS
+from chainga.harness import ABLATION_ROWS, ablation_overrides
 from chainga.infotheory import GainRatioMatrix, build_omega
 from oracles import oracle_crossover
 
@@ -72,11 +72,6 @@ def test_config_validation_errors():
         EvolutionConfig(mutation_prob=1.5)
     with pytest.raises(ValueError):
         EvolutionConfig(generations=0)
-
-
-def test_config_multi_pop_off_ignores_divisibility():
-    cfg = EvolutionConfig(population_size=30, subpopulations=4, multi_pop=False, elites=2)
-    assert cfg.effective_m == 1
 
 
 def test_init_population_sizes():
@@ -383,7 +378,7 @@ def test_run_on_a_warm_cache_counts_only_its_own_knn_runs(small_dataset, monkeyp
 
 def test_run_shared_cache_counters_do_not_depend_on_threads(small_dataset):
     base = dict(population_size=8, subpopulations=2, elites=1, generations=4, mutation_prob=0.5, seed=5)
-    configs = [EvolutionConfig(**base, **dict(zip(FLAGS.values(), flags))) for flags in ABLATION_ROWS]
+    configs = [EvolutionConfig(**{**base, **ablation_overrides(row)}) for row in ABLATION_ROWS]
 
     def battery(threads):
         cache = {}
@@ -391,17 +386,6 @@ def test_run_shared_cache_counters_do_not_depend_on_threads(small_dataset):
         return [(r.n_classifier_evals, r.trace, r.best, r.best.genes.tolist()) for r in results], len(cache)
 
     assert battery(1) == battery(3)
-
-
-def test_run_all_flags_off_is_single_population_random_ga(small_dataset):
-    base = dict(population_size=12, elites=2, generations=4, seed=17,
-                multi_pop=False, elite_interaction=False,
-                diversity_crossover=False, diversity_mutation=False)
-    plain = run(small_dataset, EvolutionConfig(subpopulations=3, **base))
-    explicit = run(small_dataset, EvolutionConfig(subpopulations=1, **base))
-    assert all(row.subpop == 0 and row.size == 12 for row in plain.trace)
-    assert plain.trace == explicit.trace
-    assert np.array_equal(plain.best.genes, explicit.best.genes)
 
 
 @pytest.fixture

@@ -55,20 +55,19 @@ def _state(records):
     m=st.integers(1, 3),
     size=st.integers(1, 4),
     elites=st.integers(0, 4),
-    flags=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    flags=st.tuples(st.booleans(), st.booleans()),
     mutation_prob=st.sampled_from([0.0, 0.5, 1.0]),
     levels=st.integers(1, 3),
     seed=st.integers(0, 2**16),
 )
-@example(d=1, m=2, size=2, elites=1, flags=(True,) * 4, mutation_prob=1.0, levels=2, seed=0)
-@example(d=3, m=3, size=1, elites=1, flags=(True,) * 4, mutation_prob=0.5, levels=1, seed=1)
-@example(d=4, m=2, size=2, elites=0, flags=(False,) * 4, mutation_prob=0.0, levels=3, seed=2)
+@example(d=1, m=2, size=2, elites=1, flags=(True,) * 2, mutation_prob=1.0, levels=2, seed=0)
+@example(d=3, m=3, size=1, elites=1, flags=(True,) * 2, mutation_prob=0.5, levels=1, seed=1)
+@example(d=4, m=2, size=2, elites=0, flags=(False,) * 2, mutation_prob=0.0, levels=3, seed=2)
 def test_generation_matches_serial_predecessor(d, m, size, elites, flags, mutation_prob, levels, seed):
-    multi_pop, elite_interaction, diversity_crossover, diversity_mutation = flags
+    diversity_crossover, diversity_mutation = flags
     cfg = EvolutionConfig(
-        population_size=m * size, subpopulations=m, elites=min(elites, size if multi_pop else m * size),
-        generations=3, mutation_prob=mutation_prob, seed=seed, multi_pop=multi_pop,
-        elite_interaction=elite_interaction, diversity_crossover=diversity_crossover,
+        population_size=m * size, subpopulations=m, elites=min(elites, size), generations=3,
+        mutation_prob=mutation_prob, seed=seed, diversity_crossover=diversity_crossover,
         diversity_mutation=diversity_mutation,
     )
     omega = _random_omega(np.random.default_rng(seed), d)
@@ -88,9 +87,8 @@ def test_generation_matches_serial_predecessor(d, m, size, elites, flags, mutati
             if record.fitness > serial_best.fitness:
                 serial_best = record
         assert _state([best]) == _state([serial_best])
-        if cfg.elite_interaction:
-            migrate_elites(batched, cfg.elites)
-            migrate_elites(serial, cfg.elites)
+        migrate_elites(batched, cfg.elites)
+        migrate_elites(serial, cfg.elites)
         assert [_state(sp) for sp in batched] == [_state(sp) for sp in serial]
 
 

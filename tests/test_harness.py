@@ -4,7 +4,9 @@ import yaml
 
 from chainga import cli, harness
 from chainga.harness import (
+    ABLATION_ROWS,
     ConfigError,
+    ablation_overrides,
     aggregate_rows,
     cmd_ablation,
     cmd_run,
@@ -270,11 +272,11 @@ def test_cli_run_out_under_a_file_fails_before_building(tmp_path, capsys, monkey
         ({"subsample": 0}, [], "subsample must be >= 1"),
         ({"evolution": [1]}, [], "'evolution' must be a mapping"),
         ({"evolution": dict(EVOLUTION, chain_mode="ring")}, [], "chain_mode"),
+        ({"evolution": dict(EVOLUTION, multi_pop=False)}, [], "multi_pop"),
         ({"omega_cache": 5}, [], "unknown key(s) 'omega_cache'"),
         ({"omega_cache": "omega.bin"}, [], "unknown key(s) 'omega_cache'"),
         ({"seed": [7]}, [], "unknown key(s) 'seed'"),
         ({"bins": 1}, [], "bins must be >= 2"),
-        ({}, ["--bins", "1"], "bins must be >= 2"),
         ({"evolution": dict(EVOLUTION, population_size=30.0)}, [], "population_size must be an integer"),
         ({"evolution": dict(EVOLUTION, generations=2.5)}, [], "generations must be an integer"),
         ({"evolution": dict(EVOLUTION, knn_k=5.0)}, [], "knn_k must be an integer"),
@@ -286,25 +288,26 @@ def test_cli_run_out_under_a_file_fails_before_building(tmp_path, capsys, monkey
         ({"seeds": [1, 1]}, [], "seed list repeats a seed"),
         ({}, ["--seeds", "2", "1", "2"], "seed list repeats a seed"),
         ({"subsample": 10}, [], "subsample applies only to csv manifests"),
-        ({}, ["--subsample", "10"], "subsample applies only to csv manifests"),
     ],
     ids=["valid", "nulls-absent", "seeds-int", "seeds-str", "seeds-float", "seeds-bool", "seeds-flag-negative",
          "threads-str", "threads-zero", "threads-flag-zero", "bins-str", "split-seed-list",
-         "subsample-str", "subsample-zero", "evolution-list", "evolution-chain-mode", "omega-cache-int",
-         "omega-cache-path", "seed-misspelt",
-         "bins-one", "bins-flag-one", "population-size-float", "generations-float", "knn-k-float",
+         "subsample-str", "subsample-zero", "evolution-list", "evolution-chain-mode", "evolution-multi-pop",
+         "omega-cache-int", "omega-cache-path", "seed-misspelt",
+         "bins-one", "population-size-float", "generations-float", "knn-k-float",
          "elites-float", "elites-bool", "alpha-bool", "diversity-crossover-str", "seeds-repeated",
-         "seeds-flag-repeated", "subsample-synthetic", "subsample-flag-synthetic"],
+         "seeds-flag-repeated", "subsample-synthetic"],
 )
 def test_cli_invalid_run_config_is_config_error(tmp_path, capsys, extra, flags, error):
     config_path = write_configs(tmp_path, extra=extra)
-    code = cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), *flags])
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(config_path), "--out", str(out), *flags])
     if error is None:
         assert code == 0
     else:
         assert code == 1
         err = capsys.readouterr().err
         assert "config error:" in err and error in err
+        assert not out.exists()
 
 
 CSV_MANIFEST = {"type": "csv", "path": "table.csv", "label_column": "class", "header": True}
@@ -333,23 +336,27 @@ CSV_MANIFEST = {"type": "csv", "path": "table.csv", "label_column": "class", "he
         (dict(MANIFEST, nosie=3), "synthetic manifest has unknown key(s) 'nosie'"),
         (dict(MANIFEST, bins=6), "synthetic manifest has unknown key(s) 'bins'"),
         (dict(CSV_MANIFEST, headr=False), "csv manifest has unknown key(s) 'headr'"),
+        (dict(MANIFEST, type="parquet"), "unknown dataset manifest type 'parquet'"),
     ],
     ids=["synthetic-valid", "csv-valid", "rows-str", "rows-float", "informative-bool",
          "redundant-str", "noise-list", "classes-float", "seed-str", "seed-negative",
          "noise-negative", "rows-missing", "path-int", "label-column-int", "header-str",
-         "header-int", "path-missing", "synthetic-misspelt", "synthetic-bins", "csv-misspelt"],
+         "header-int", "path-missing", "synthetic-misspelt", "synthetic-bins", "csv-misspelt",
+         "type-parquet"],
 )
 def test_cli_invalid_manifest_field_is_config_error(tmp_path, capsys, manifest, error):
     rows = ["a,b,class"] + [f"{i},{i % 3},{'xy'[i % 2]}" for i in range(20)]
     (tmp_path / "table.csv").write_text("\n".join(rows) + "\n")
     config_path = write_configs(tmp_path, manifest=manifest)
-    code = cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(config_path), "--out", str(out)])
     if error is None:
         assert code == 0
     else:
         assert code == 1
         err = capsys.readouterr().err
         assert "config error:" in err and error in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -359,8 +366,12 @@ def test_cli_invalid_manifest_field_is_config_error(tmp_path, capsys, manifest, 
         (["run", "--config", "run.yaml", "--out", "x", "--seeds", "x"], "--seeds"),
         (["omega-dump", "--config", "run.yaml", "--out", "x", "--omega-cache", "c"], "'omega-dump'"),
         (["run", "--config", "run.yaml", "--out", "x", "--omega-cache", "c"], "--omega-cache"),
+        # settings that only the config file sets
+        *((["run", "--config", "run.yaml", "--out", "x", flag, value], flag) for flag, value in
+          (("--subsample", "10"), ("--bins", "6"), ("--pm", "0.0"), ("--alpha", "0.01"), ("--k", "3"))),
     ],
-    ids=["missing-config", "seeds-str", "omega-dump-omega-cache", "run-omega-cache"],
+    ids=["missing-config", "seeds-str", "omega-dump-omega-cache", "run-omega-cache",
+         "run-subsample", "run-bins", "run-pm", "run-alpha", "run-k"],
 )
 def test_cli_usage_error_is_config_error(capsys, argv, error):
     with pytest.raises(SystemExit) as exc:
@@ -381,9 +392,7 @@ def test_cli_help_and_version_exit_0(capsys, flag):
 def test_cli_flag_overrides(tmp_path):
     config_path = write_configs(tmp_path)
     out = tmp_path / "out"
-    code = cli.main(
-        ["run", "--config", str(config_path), "--out", str(out), "--seeds", "7", "--pm", "0.0"]
-    )
+    code = cli.main(["run", "--config", str(config_path), "--out", str(out), "--seeds", "7"])
     assert code == 0
     rows = read_table(out / "per_seed.csv")
     assert [row["seed"] for row in rows] == ["7"]
@@ -416,13 +425,7 @@ def test_ablation_all_off_equals_flags_off_run(tmp_path):
     config_path = write_configs(tmp_path, seeds=(1, 2))
     out_ab = tmp_path / "ablation"
     cmd_ablation(load_run_config(config_path), out_ab)
-    flags_off = {
-        "multi_pop": False,
-        "elite_interaction": False,
-        "diversity_crossover": False,
-        "diversity_mutation": False,
-    }
-    off_path = write_configs(tmp_path / "off", evolution={**EVOLUTION, **flags_off})
+    off_path = write_configs(tmp_path / "off", evolution={**EVOLUTION, **ablation_overrides(ABLATION_ROWS[0])})
     out_off = tmp_path / "off_out"
     cmd_run(load_run_config(off_path), out_off)
     all_off = read_table(out_ab / "ablation.csv")[0]
@@ -464,6 +467,14 @@ def test_sensitivity_rejects_repeated_values(tmp_path, capsys):
     assert code == 1
     assert "sensitivity values repeat a value" in capsys.readouterr().err
     assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("value", [True, 1.9])
+def test_sensitivity_value_of_the_wrong_type_is_config_error(tmp_path, value):
+    config_path = write_configs(tmp_path, evolution=dict(EVOLUTION, population_size=12, subpopulations=2))
+    with pytest.raises(ConfigError, match="elites must be an integer"):
+        cmd_sensitivity(load_run_config(config_path), "S", [value, 2], tmp_path / "sens")
+    assert not (tmp_path / "sens").exists()
 
 
 def test_sensitivity_s_sweep(tmp_path):

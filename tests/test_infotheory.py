@@ -77,7 +77,7 @@ def _table_from_columns(columns, labels):
     names = [f"f{i}" for i in range(len(columns))] + ["y"]
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
     cols.append(np.array([str(v) for v in labels], dtype=object))
-    return RawTable(names, cols, [True] * len(columns) + [False], "y")
+    return RawTable(names, cols, "y")
 
 
 def _tiny_dataset(columns, labels, bins=10):
