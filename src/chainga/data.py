@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
+import operator
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -14,6 +15,7 @@ import numpy as np
 TRAIN, VAL, TEST = 0, 1, 2
 
 MISSING_TOKENS = {"", "?", "na", "n/a", "nan", "null"}
+BLOCK_ROWS = 256  # rows per block of load_csv's parse
 
 
 class DataError(Exception):
@@ -126,19 +128,117 @@ class SyntheticSpec:
             raise DataError("invalid synthetic spec")
 
 
+# a line and its ending, split as io.StringIO(text, newline="") splits them
+# (a str iterator costs no copy of the text; a StringIO holds 4 bytes per character)
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _rows(text: str):
+    """The non-empty rows of CSV text, parsed lazily."""
+    return filter(None, csv.reader(map(operator.itemgetter(0), _LINE.finditer(text))))
+
+
+def _blocks(rows):
+    """Lists of up to ``BLOCK_ROWS`` consecutive rows."""
+    while block := list(itertools.islice(rows, BLOCK_ROWS)):
+        yield block
+
+
+def _scan(text: str, header: bool):
+    """Pass 1 over the rows, a block at a time. Returns the column names
+    (None for a file with no rows), the data row count, the first ragged
+    row as (index, width) or None, and per column the float64 arrays of
+    its blocks, or None once a block of it held a cell that is not a
+    finite number. No block is converted after the first ragged row."""
+    rows = _rows(text)
+    first = next(rows, None)
+    if first is None:
+        return None, 0, None, []
+    names = [c.strip() for c in first] if header else [f"f{i}" for i in range(len(first))]
+    parts = [[] for _ in names]
+    n_rows, ragged = 0, None
+    for block in _blocks(rows if header else itertools.chain([first], rows)):
+        if ragged is None:
+            ragged = next(((n_rows + i, len(row)) for i, row in enumerate(block) if len(row) != len(names)), None)
+        if ragged is None:
+            for j, (part, cells) in enumerate(zip(parts, zip(*block))):
+                if part is None:
+                    continue
+                try:  # float() semantics: surrounding whitespace and "1_0" parse
+                    values = np.array(cells, dtype=np.float64)
+                except ValueError:  # a text cell or a missing token
+                    parts[j] = None
+                    continue
+                if np.isfinite(values).all():
+                    part.append(values)
+                else:  # "nan", "inf", "1e999"
+                    parts[j] = None
+        n_rows += len(block)
+    return names, n_rows, ragged, parts
+
+
+def _stripped_cells(text: str, header: bool, columns: list[int]) -> dict[int, list[str]]:
+    """Pass 2: the stripped cells of the given data columns, each distinct
+    string held once. The text is parsed again only if a column is given."""
+    if not columns:
+        return {}
+    cells: dict[int, list[str]] = {j: [] for j in columns}
+    shared: dict[str, str] = {}
+    rows = _rows(text)
+    if header:
+        next(rows)
+    for block in _blocks(rows):
+        for j, column in cells.items():
+            column += [shared.setdefault(v, v) for v in (row[j].strip() for row in block)]
+    return cells
+
+
+def _typed_column(name: str, cells: list[str], path) -> tuple[np.ndarray, int]:
+    """A column from its stripped cells, and its missing-cell count."""
+    missing = [v.lower() in MISSING_TOKENS for v in cells]
+    n_missing = sum(missing)
+    present = [v for v, m in zip(cells, missing) if not m] if n_missing else cells
+    if not present:
+        raise DataError(f"column {name!r} in {path} is entirely missing")
+    try:
+        values = np.array([float(v) for v in present])
+    except ValueError:  # a text cell: the column is categorical
+        values = np.array(present, dtype=object)
+    numeric = values.dtype != object
+    if numeric and not np.isfinite(values).all():  # inf, 1e999, -nan
+        raise DataError(f"column {name!r} in {path} holds a non-finite number")
+    if n_missing:
+        if numeric:
+            fill = np.median(values)
+        else:
+            uniq, counts = np.unique(values, return_counts=True)
+            fill = uniq[np.argmax(counts)]  # the smallest of the most frequent
+        full = np.full(len(cells), fill, dtype=values.dtype)
+        full[~np.array(missing)] = values
+        values = full
+    return values, n_missing
+
+
 def load_csv(path, label_column: str, header: bool = True) -> RawTable:
     """Load a comma-separated table, typing each column numeric when every
     present entry parses as a number and categorical otherwise.
 
     Missing entries ("", "?", "NA", ...) are imputed with the column median
     (numeric) or mode (categorical) and counted in ``RawTable.imputed``.
+
+    The file is read whole, then parsed in blocks of ``BLOCK_ROWS`` rows,
+    so only one block's cells are alive at a time. A column whose every
+    block converts to finite floats is numeric with nothing missing, and
+    is kept as those floats. The other columns (a text cell, a missing
+    token or a non-finite number) are typed from a second pass that keeps
+    only their stripped cells, each distinct string held once.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
         if "\x00" in text:  # numpy strings drop trailing NULs, merging categories
             raise DataError(f"dataset file holds a NUL character: {path}")
-        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+        names, n_rows, ragged, parts = _scan(text, header)
     except FileNotFoundError as exc:
         raise DataError(f"dataset file not found: {path}") from exc
     except OSError as exc:
@@ -148,57 +248,34 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
     except csv.Error as exc:
         raise DataError(f"malformed CSV in {path}: {exc}") from exc
 
-    if not rows:
+    if names is None:
         raise DataError(f"empty table: {path}")
-
-    if header:
-        names = [c.strip() for c in rows[0]]
-        body = rows[1:]
-    else:
-        names = [f"f{i}" for i in range(len(rows[0]))]
-        body = rows
-    if not body:
+    if not n_rows:
         raise DataError(f"table has a header but no data rows: {path}")
-
-    width = len(names)
-    for i, row in enumerate(body):
-        if len(row) != width:
-            raise DataError(
-                f"ragged row {i + (2 if header else 1)} in {path}: "
-                f"expected {width} fields, got {len(row)}"
-            )
+    if ragged:
+        i, got = ragged
+        raise DataError(
+            f"ragged row {i + (2 if header else 1)} in {path}: "
+            f"expected {len(names)} fields, got {got}"
+        )
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise DataError(f"header of {path} repeats column name(s) {', '.join(map(repr, repeated))}")
     if label_column not in names:
         raise DataError(f"label column {label_column!r} not present in {path}")
 
+    cells = _stripped_cells(text, header, [j for j, part in enumerate(parts) if part is None])
+    del text  # its memory goes back before the joined columns are allocated
     columns: list[np.ndarray] = []
     imputed: dict[str, int] = {}
-    for name, col in zip(names, zip(*body)):
-        cells = [v.strip() for v in col]
-        missing = [v.lower() in MISSING_TOKENS for v in cells]
-        n_missing = sum(missing)
-        present = [v for v, m in zip(cells, missing) if not m] if n_missing else cells
-        if not present:
-            raise DataError(f"column {name!r} in {path} is entirely missing")
-        try:
-            values = np.array([float(v) for v in present])
-        except ValueError:  # a text cell: the column is categorical
-            values = np.array(present, dtype=object)
-        numeric = values.dtype != object
-        if numeric and not np.isfinite(values).all():  # inf, 1e999, -nan
-            raise DataError(f"column {name!r} in {path} holds a non-finite number")
-        if n_missing:
-            if numeric:
-                fill = np.median(values)
-            else:
-                uniq, counts = np.unique(values, return_counts=True)
-                fill = uniq[np.argmax(counts)]  # the smallest of the most frequent
-            full = np.full(len(cells), fill, dtype=values.dtype)
-            full[~np.array(missing)] = values
-            values = full
-            imputed[name] = n_missing
+    for j, name in enumerate(names):
+        if parts[j] is None:
+            values, n_missing = _typed_column(name, cells.pop(j), path)
+            if n_missing:
+                imputed[name] = n_missing
+        else:
+            values = np.concatenate(parts[j])
+            parts[j] = None  # each block freed once its column is joined
         columns.append(values)
 
     raw = RawTable(names, columns, label_column, imputed)

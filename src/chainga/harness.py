@@ -111,6 +111,12 @@ CSV_KEYS = {"type", "path", "label_column", "header"}
 SYNTHETIC_KEYS = {"type"} | {f.name.removeprefix("n_") for f in fields(SyntheticSpec)}
 
 
+def _synthetic_spec(manifest: dict) -> SyntheticSpec:
+    """The SyntheticSpec a synthetic manifest describes; its keys drop the "n_"."""
+    return SyntheticSpec(**{f.name: manifest[key] for f in fields(SyntheticSpec)
+                            if (key := f.name.removeprefix("n_")) in manifest})
+
+
 def _reject_unknown(mapping: dict, known: set, where: str) -> None:
     unknown = sorted(set(mapping) - known, key=str)
     if unknown:
@@ -128,6 +134,10 @@ def _check_manifest(manifest: dict) -> None:
                 _require_int(f"manifest {name}", manifest[name], minimum=0)
             elif spec_field.default is MISSING:
                 raise ConfigError(f"synthetic manifest missing field {name!r}")
+        try:
+            _synthetic_spec(manifest)
+        except DataError as exc:
+            raise ConfigError(f"invalid synthetic manifest: {exc}") from exc
     elif kind == "csv":
         _reject_unknown(manifest, CSV_KEYS, "csv manifest")
         for name in ("path", "label_column"):
@@ -195,8 +205,7 @@ def build_dataset(cfg: HarnessConfig) -> Dataset:
     """Materialize the dataset of a manifest that ``load_run_config`` checked."""
     manifest = cfg.manifest
     if manifest.get("type") == "synthetic":
-        spec = {f.name: manifest[key] for f in fields(SyntheticSpec) if (key := f.name.removeprefix("n_")) in manifest}
-        dataset = generate_synthetic(SyntheticSpec(**spec), bins=cfg.bins)
+        dataset = generate_synthetic(_synthetic_spec(manifest), bins=cfg.bins)
     else:
         raw = load_csv(cfg.manifest_dir / manifest["path"], manifest["label_column"],
                        header=manifest.get("header", True))
@@ -302,14 +311,21 @@ PER_SEED_FIELDS = ["seed", *METRIC_FIELDS, "n_selected", "mask"]
 
 def _set_up(cfg: HarnessConfig, out_dir) -> tuple[Path, Dataset, GainRatioMatrix]:
     """Create the output directory, then build the dataset and its
-    gain-ratio matrix. Returns (directory, dataset, matrix)."""
+    gain-ratio matrix. Returns (directory, dataset, matrix). On a data
+    error the directories this call created are removed again."""
     out_dir = Path(out_dir)
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    dataset = build_dataset(cfg)
-    return out_dir, dataset, obtain_omega(dataset)
+    try:
+        dataset = build_dataset(cfg)
+        return out_dir, dataset, obtain_omega(dataset)
+    except DataError:
+        for path in made:  # still empty: nothing is written before set-up ends
+            path.rmdir()
+        raise
 
 
 def _median_rows(

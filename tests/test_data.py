@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chainga.data import (
+    BLOCK_ROWS,
     DataError,
     RawTable,
     SyntheticSpec,
@@ -11,7 +12,7 @@ from chainga.data import (
     subsample_raw,
 )
 from conftest import dataset_path
-from oracles import ref_gain_ratio_tables
+from oracles import columnwise_load_csv, ref_gain_ratio_tables
 
 
 def _write(tmp_path, text, name="table.csv"):
@@ -84,6 +85,19 @@ def test_load_csv_inf_is_a_category_in_text_columns(tmp_path):
     path = _write(tmp_path, "a,class\nlow,x\ninf,y\nlow,x\n")
     raw = load_csv(path, "class")
     assert [column.dtype for column in raw.columns] == [object, object]
+
+
+def test_load_csv_spoilers_in_later_blocks_match_the_columnwise_loader(tmp_path):
+    # three blocks of BLOCK_ROWS rows; each spoiler sits in the last one
+    n = 2 * BLOCK_ROWS + 5
+    rows = [f"{i},{i % 7},{i / 4},{'xy'[i % 2]}" for i in range(n)]
+    rows[n - 2] = rows[n - 2].split(",", 1)[0] + ",?,text," + "xy"[n % 2]
+    path = _write(tmp_path, "a,b,c,class\n" + "\n".join(rows) + "\n")
+    raw, ref = load_csv(path, "class"), columnwise_load_csv(path, "class")
+    assert raw.imputed == ref.imputed == {"b": 1}
+    assert [column.dtype.kind for column in raw.columns] == ["f", "f", "O", "O"]
+    for column, ref_column in zip(raw.columns, ref.columns, strict=True):
+        assert column.dtype == ref_column.dtype and column.tolist() == ref_column.tolist()
 
 
 def test_load_csv_imputes_and_reports(tmp_path):

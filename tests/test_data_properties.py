@@ -1,9 +1,11 @@
 """Property tests for the stratified row cap and for CSV loading and
 preparation."""
 
+import csv
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from chainga import data
 from chainga.data import MISSING_TOKENS, TEST, TRAIN, VAL, DataError, RawTable, load_csv, prepare, subsample_raw
-from oracles import dict_prepare, two_pass_load_csv
+from oracles import columnwise_load_csv, dict_prepare, two_pass_load_csv
 
 
 @st.composite
@@ -187,3 +190,83 @@ def test_load_csv_and_prepare_match_their_predecessors(rows, bins, split_seed):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert (ds.feature_names, ds.class_names, ds.bins) == (ref_ds.feature_names, ref_ds.class_names, ref_ds.bins)
     assert ds.digest() == ref_ds.digest()
+
+
+# cells for the comparison of the block parse with the column-wise loader:
+# finite numbers (an underscore group, full-width digits, Unicode whitespace
+# around them), spoilers that make a numeric column one the second pass types
+# (a text cell, missing tokens, non-finite numbers), and text cells, some
+# quoted across a line break or holding characters str.splitlines breaks at
+FINITE = ["0", "-0", "2.5", "-3e2", "1_0", "\uff15", "\uff11\uff12", "\u30007\xa0", "\u2028 4", " 8 "]
+SPOILERS = ["x", '"p,q"', "nan", "NaN", " ? ", "", "-nan", "inf", "1e999"]
+TEXT = ["a", "b", " a\u3000", "inf", '"x,y"', '"x\ny"', '"x\r\ny"', "\x85b\x1d", "c\x0b\x0cd"]
+OVERSIZED = "9" * (csv.field_size_limit() + 1)  # a field csv.reader rejects
+
+
+@st.composite
+def blocked_tables(draw):
+    """(CSV text, header flag, label column, block size) of a table of one
+    to fourteen rows, parsed in blocks of two or three rows. A numeric
+    column's spoiler sits in a later block when there is one; a ragged row
+    may be followed by a field the CSV parser rejects. Lines end in "\\n",
+    "\\r\\n" or "\\r", the last one maybe in nothing."""
+    block = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 14))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        numeric = draw(st.booleans())
+        cells = draw(st.lists(st.sampled_from(FINITE if numeric else TEXT), min_size=n, max_size=n))
+        if numeric and draw(st.booleans()):
+            cells[draw(st.integers(block if n > block else 0, n - 1))] = draw(st.sampled_from(SPOILERS))
+        columns.append(cells)
+    columns.append(draw(st.lists(st.sampled_from(["p", "q", "0", "-0", "1"]), min_size=n, max_size=n)))
+    rows = [list(row) for row in zip(*columns)]
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, n - 1))
+        rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["extra"]
+        if draw(st.booleans()):
+            rows[draw(st.integers(at, n - 1))][0] = OVERSIZED
+    header = draw(st.booleans())
+    names = [f"f{j}" for j in range(len(columns))]  # the same names as without a header
+    lines = [",".join(row) for row in ([[f" {name}" for name in names]] if header else []) + rows]
+    for _ in range(draw(st.integers(0, 2))):  # empty lines are skipped, and not counted
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ("\ufeff" if draw(st.booleans()) else "") + ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    return text, header, names[-1], block
+
+
+def _load_or_error(load, path, label_column, header):
+    try:
+        return load(path, label_column, header=header)
+    except DataError as exc:
+        return exc
+
+
+def _spoiled_late(cell):
+    """A numeric column whose fourth block of two rows holds ``cell``."""
+    return f"f0,f1\n1,p\n2,q\n3,p\n\uff14,q\n5,p\n6,q\n{cell},p\n", True, "f1", 2
+
+
+@example(("f0,f1\n1,p\n2,q\n3,p\n4,q\n5\n6,p\n" + OVERSIZED + ",q\n", True, "f1", 2))
+@example(("\ufeff1,p\n\n2,q,r\n3,p\n", False, "f1", 2))
+@example(_spoiled_late(" ? "))
+@example(_spoiled_late("nan"))
+@example(_spoiled_late("1e999"))
+@example(_spoiled_late("x"))
+@given(blocked_tables())
+def test_load_csv_matches_the_columnwise_loader_across_blocks(case):
+    text, header, label_column, block = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode("utf-8"))  # line endings as drawn
+        with mock.patch.object(data, "BLOCK_ROWS", block):
+            raw = _load_or_error(load_csv, path, label_column, header)
+        ref = _load_or_error(columnwise_load_csv, path, label_column, header)
+    if isinstance(ref, DataError):
+        assert type(raw) is type(ref) and str(raw) == str(ref)
+        return
+    assert (raw.names, raw.label_column, raw.imputed) == (ref.names, ref.label_column, ref.imputed)
+    for column, ref_column in zip(raw.columns, ref.columns, strict=True):
+        assert column.dtype == ref_column.dtype and column.tolist() == ref_column.tolist()
+        assert column.dtype == object or column.tobytes() == ref_column.tobytes()  # -0.0 too

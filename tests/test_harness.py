@@ -125,6 +125,24 @@ def test_cli_missing_csv_is_data_error(tmp_path):
     assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "ablation"])
+def test_cli_data_error_removes_only_the_directories_it_made(tmp_path, capsys, command):
+    manifest = {"type": "csv", "path": "absent.csv", "label_column": "class"}
+    config_path = write_configs(tmp_path, manifest=manifest)
+    out = tmp_path / "new" / "out"
+    assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    assert "data error:" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine\n")
+    for existing in (kept, tmp_path / "empty"):
+        existing.mkdir(exist_ok=True)
+        assert cli.main([command, "--config", str(config_path), "--out", str(existing)]) == 2
+        assert existing.is_dir()
+    assert (kept / "notes.txt").read_text() == "mine\n"
+
+
 def _unreadable(path, kind):
     path.unlink(missing_ok=True)
     if kind == "directory":
@@ -337,12 +355,15 @@ CSV_MANIFEST = {"type": "csv", "path": "table.csv", "label_column": "class", "he
         (dict(MANIFEST, bins=6), "synthetic manifest has unknown key(s) 'bins'"),
         (dict(CSV_MANIFEST, headr=False), "csv manifest has unknown key(s) 'headr'"),
         (dict(MANIFEST, type="parquet"), "unknown dataset manifest type 'parquet'"),
+        ({"type": "synthetic", "rows": 90, "informative": 0, "noise": 3}, "at least one informative feature"),
+        ({"type": "synthetic", "rows": 4, "informative": 2}, "at least 3 rows per class"),
+        ({"type": "synthetic", "rows": 90, "informative": 2, "classes": 1}, "invalid synthetic spec"),
     ],
     ids=["synthetic-valid", "csv-valid", "rows-str", "rows-float", "informative-bool",
          "redundant-str", "noise-list", "classes-float", "seed-str", "seed-negative",
          "noise-negative", "rows-missing", "path-int", "label-column-int", "header-str",
          "header-int", "path-missing", "synthetic-misspelt", "synthetic-bins", "csv-misspelt",
-         "type-parquet"],
+         "type-parquet", "informative-zero", "rows-per-class", "classes-one"],
 )
 def test_cli_invalid_manifest_field_is_config_error(tmp_path, capsys, manifest, error):
     rows = ["a,b,class"] + [f"{i},{i % 3},{'xy'[i % 2]}" for i in range(20)]
