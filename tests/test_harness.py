@@ -133,11 +133,11 @@ def test_cli_data_error_removes_only_the_directories_it_made(tmp_path, capsys, c
     assert cli.main([command, "--config", str(config_path), "--out", str(out)]) == 2
     assert "data error:" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
-    kept = tmp_path / "kept"
+    kept, empty = tmp_path / "kept", tmp_path / "empty"
     kept.mkdir()
+    empty.mkdir()
     (kept / "notes.txt").write_text("mine\n")
-    for existing in (kept, tmp_path / "empty"):
-        existing.mkdir(exist_ok=True)
+    for existing in (kept, empty):
         assert cli.main([command, "--config", str(config_path), "--out", str(existing)]) == 2
         assert existing.is_dir()
     assert (kept / "notes.txt").read_text() == "mine\n"
