@@ -73,7 +73,7 @@ class MetricBundle:
     f1: float
 
 
-def evaluate_metrics(y_true, y_pred, n_classes: int | None = None) -> MetricBundle:
+def evaluate_metrics(y_true, y_pred, n_classes: int) -> MetricBundle:
     """Per-class one-vs-rest counts aggregated by class-support weights.
 
     Per-class precision/recall default to 0 when undefined, and F1 is 0
@@ -85,8 +85,6 @@ def evaluate_metrics(y_true, y_pred, n_classes: int | None = None) -> MetricBund
         raise ValueError(f"length mismatch: {y_true.size} vs {y_pred.size}")
     if y_true.size == 0:
         raise ValueError("cannot score empty label vectors")
-    if n_classes is None:
-        n_classes = int(max(y_true.max(), y_pred.max())) + 1
 
     tp = np.bincount(y_true[y_true == y_pred], minlength=n_classes)
     predicted = np.bincount(y_pred, minlength=n_classes)

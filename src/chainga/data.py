@@ -201,7 +201,7 @@ def _typed_column(name: str, cells: list[str], path) -> tuple[np.ndarray, int]:
     if not present:
         raise DataError(f"column {name!r} in {path} is entirely missing")
     try:
-        values = np.array([float(v) for v in present])
+        values = np.array(present, dtype=np.float64)
     except ValueError:  # a text cell: the column is categorical
         values = np.array(present, dtype=object)
     numeric = values.dtype != object
@@ -338,11 +338,13 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
     if bins < 2:
         raise DataError(f"bins must be >= 2, got {bins}")
 
+    feat_cols = [(name, col) for name, col in zip(raw.names, raw.columns) if name != raw.label_column]
+    if not feat_cols:
+        raise DataError(f"table has no feature column besides the label {raw.label_column!r}")
     class_names, y = np.unique(raw.label_values().astype(str), return_inverse=True)
     split = _stratified_split(y, len(class_names), split_seed)
     train = split == TRAIN
 
-    feat_cols = [(name, col) for name, col in zip(raw.names, raw.columns) if name != raw.label_column]
     n, d = raw.n_rows, len(feat_cols)
     X_cont = np.zeros((n, d), dtype=np.float64)
     X_disc = np.zeros((n, d), dtype=np.int64)

@@ -15,16 +15,21 @@ def _codes(values) -> tuple[np.ndarray, int]:
     return inverse, int(inverse.max()) + 1
 
 
+def _segment_entropies(counts: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """Entropy in bits of each segment, from ``starts``, of cell counts over
+    n rows: one segmented sum of a p*log2(p) table over the nonzero cells."""
+    plogp = np.arange(n + 1) / n
+    plogp[1:] *= np.log2(plogp[1:])
+    cells = np.flatnonzero(counts > 0)
+    return -np.add.reduceat(plogp[counts[cells]], np.searchsorted(cells, starts))
+
+
 def _entropies(codes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Entropy in bits of every column of an (n, m) code matrix whose
-    column t holds codes in [0, sizes[t]): one bincount over the codes
-    shifted by each column's offset, then one segmented sum of p*log2(p)
-    over the nonzero cells."""
+    """Entropy in bits of each row t of an (m, n) code matrix, its codes in
+    [0, sizes[t]): one bincount over the codes shifted by row offsets."""
     offsets = np.cumsum(sizes) - sizes
-    counts = np.bincount((codes + offsets).ravel(), minlength=int(sizes.sum()))
-    cells = np.flatnonzero(counts)
-    p = counts[cells] / codes.shape[0]
-    return -np.add.reduceat(p * np.log2(p), np.searchsorted(cells, offsets))
+    counts = np.bincount((codes + offsets[:, None]).ravel(), minlength=int(sizes.sum()))
+    return _segment_entropies(counts, offsets, codes.shape[1])
 
 
 def entropy(values) -> float:
@@ -32,7 +37,7 @@ def entropy(values) -> float:
     if np.size(values) == 0:
         raise ValueError("entropy of an empty vector is undefined")
     codes, k = _codes(values)
-    return float(_entropies(codes[:, None], np.array([k]))[0])
+    return float(_entropies(codes[None], np.array([k]))[0])
 
 
 def information_gain(target, feature) -> float:
@@ -48,7 +53,7 @@ def information_gain(target, feature) -> float:
         raise ValueError("information gain of empty vectors is undefined")
     t, kt = _codes(target)
     f, kf = _codes(feature)
-    h_t, h_f, h_tf = _entropies(np.stack([t, f, t * kf + f], axis=1), np.array([kt, kf, kt * kf]))
+    h_t, h_f, h_tf = _entropies(np.stack([t, f, t * kf + f]), np.array([kt, kf, kt * kf]))
     return max(0.0, float(h_t + h_f - h_tf))
 
 
@@ -86,8 +91,8 @@ def build_omega(dataset: Dataset, rows: np.ndarray | None = None) -> GainRatioMa
 
     ``rows`` selects the rows to use (defaults to the training partition).
     Cost is quadratic in the feature count and linear in the row count:
-    one ``_entropies`` call per feature row i covers its joint codes with
-    every later feature j > i.
+    one bincount per feature column j covers its joint codes with every
+    earlier feature i < j.
     """
     if rows is None:
         rows = dataset.train_idx
@@ -95,22 +100,26 @@ def build_omega(dataset: Dataset, rows: np.ndarray | None = None) -> GainRatioMa
     if rows.size < 2:
         raise ValueError("gain-ratio matrix needs at least 2 rows")
 
-    X = dataset.X_disc[rows]
-    d = X.shape[1]
-    codes, k = np.empty_like(X), np.empty(d, dtype=np.int64)
+    n, d = rows.size, dataset.X_disc.shape[1]
+    codes, k = np.empty((d, n), dtype=np.int64), np.empty(d, dtype=np.int64)  # feature-major
     for i in range(d):
-        codes[:, i], k[i] = _codes(X[:, i])
+        codes[i], k[i] = _codes(dataset.X_disc[rows, i])
     yc, ky = _codes(dataset.y[rows])
 
     h = _entropies(codes, k)
-    h_y = _entropies(yc[:, None], np.array([ky]))[0]
-    h_iy = _entropies(codes * ky + yc[:, None], k * ky)
+    h_y = _entropies(yc[None], np.array([ky]))[0]
+    h_iy = _entropies(codes * ky + yc, k * ky)
     informative = h > 0.0
     fc = np.divide(h + h_y - h_iy, h, out=np.zeros(d), where=informative)
+    # pair (i, j) counts in cell k_j*(P_i + c_i) + c_j: a block of k_i*k_j cells
+    P, cells = np.cumsum(k) - k, np.empty_like(codes)
+    codes += P[:, None]
     ff = np.zeros((d, d))  # each pair's mutual information, then divided in place
-    for i in range(d - 1):
-        h_ij = _entropies(codes[:, i, None] * k[i + 1 :] + codes[:, i + 1 :], k[i] * k[i + 1 :])
-        ff[i, i + 1 :] = ff[i + 1 :, i] = h[i] + h[i + 1 :] - h_ij
+    for j in range(1, d):
+        np.multiply(codes[:j], k[j], out=cells[:j])
+        cells[:j] += codes[j] - P[j]
+        counts = np.bincount(cells[:j].ravel(), minlength=k[j] * P[j])
+        ff[:j, j] = ff[j, :j] = h[:j] + h[j] - _segment_entropies(counts, k[j] * P[:j], n)
     np.divide(ff, h[:, None], out=ff, where=informative[:, None])
     ff[~informative] = 0.0
 

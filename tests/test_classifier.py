@@ -124,12 +124,12 @@ def test_knn_deterministic():
 
 def test_metrics_perfect_prediction():
     y = np.array([0, 1, 2, 1, 0])
-    m = evaluate_metrics(y, y)
+    m = evaluate_metrics(y, y, 3)
     assert m.accuracy == m.precision == m.recall == m.f1 == 1.0
 
 
 def test_metrics_binary_hand_case():
-    m = evaluate_metrics([1, 1, 0, 0], [1, 0, 0, 0])
+    m = evaluate_metrics([1, 1, 0, 0], [1, 0, 0, 0], 2)
     # class 0: precision 2/3, recall 1, F1 4/5; class 1: 1, 1/2, 2/3; equal support
     assert m.accuracy == 0.75
     assert m.precision == pytest.approx(5 / 6, abs=1e-12)
@@ -138,7 +138,7 @@ def test_metrics_binary_hand_case():
 
 
 def test_metrics_single_class_predictions_on_balanced_truth():
-    m = evaluate_metrics([0, 0, 1, 1], [1, 1, 1, 1])
+    m = evaluate_metrics([0, 0, 1, 1], [1, 1, 1, 1], 2)
     assert m.accuracy == 0.5
     assert m.f1 == pytest.approx(1 / 3, abs=1e-12)
 
@@ -147,13 +147,13 @@ def test_metrics_accuracy_equals_mean():
     rng = np.random.default_rng(3)
     y_true = rng.integers(0, 4, 200)
     y_pred = rng.integers(0, 4, 200)
-    m = evaluate_metrics(y_true, y_pred)
+    m = evaluate_metrics(y_true, y_pred, 4)
     assert m.accuracy == np.mean(y_true == y_pred)
 
 
 def test_metrics_length_mismatch():
     with pytest.raises(ValueError):
-        evaluate_metrics([0, 1], [0])
+        evaluate_metrics([0, 1], [0], 2)
 
 
 def test_metrics_weighted_aggregates_in_unit_interval():
@@ -161,7 +161,7 @@ def test_metrics_weighted_aggregates_in_unit_interval():
     for _ in range(50):
         y_true = rng.integers(0, 5, 60)
         y_pred = rng.integers(0, 5, 60)
-        m = evaluate_metrics(y_true, y_pred)
+        m = evaluate_metrics(y_true, y_pred, 5)
         for v in (m.precision, m.recall, m.f1):
             assert 0.0 <= v <= 1.0
 

@@ -125,6 +125,18 @@ def test_cli_missing_csv_is_data_error(tmp_path):
     assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
 
 
+def test_cli_label_only_csv_is_data_error(tmp_path, capsys):
+    # with no feature column left, the GA's first repair drew from an empty range
+    (tmp_path / "table.csv").write_text("class\n" + "a\nb\n" * 6, encoding="utf-8")
+    manifest = {"type": "csv", "path": "table.csv", "label_column": "class"}
+    config_path = write_configs(tmp_path, seeds=(1,), manifest=manifest)  # N=6, M=3, S=1, T=2
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "no feature column" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "ablation"])
 def test_cli_data_error_removes_only_the_directories_it_made(tmp_path, capsys, command):
     manifest = {"type": "csv", "path": "absent.csv", "label_column": "class"}

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from chainga.data import RawTable, SyntheticSpec, generate_synthetic, prepare
+from chainga.data import TRAIN, Dataset, RawTable, SyntheticSpec, generate_synthetic, prepare
 from chainga.infotheory import build_omega, entropy, information_gain
 from oracles import ref_entropy, ref_gain_ratio_tables, ref_information_gain
 
@@ -133,6 +135,30 @@ def test_omega_bounds_and_finiteness(small_dataset):
     assert np.all((omega.fc >= 0) & (omega.fc <= 1))
     assert np.all((omega.ff >= 0) & (omega.ff <= 1))
     assert np.all(np.diag(omega.ff) == 0.0)
+
+
+def test_omega_build_peak_allocation_at_a_wide_shape():
+    # ten-code columns at n=300, d=1000: ff alone is 7.6 MiB, and the
+    # feature-major codes and the cell buffer 2.3 MiB each; the row-wise
+    # predecessor, with its n×(d−1−i) joint-code temporaries, peaked at 17.6 MiB
+    rng = np.random.default_rng(0)
+    n, d = 300, 1000
+    ds = Dataset(
+        X_cont=np.zeros((n, d)),
+        X_disc=rng.integers(0, 10, size=(n, d)),
+        y=rng.integers(0, 2, size=n),
+        split=np.full(n, TRAIN),
+        feature_names=[f"f{j}" for j in range(d)],
+        class_names=["0", "1"],
+        bins=10,
+    )
+    tracemalloc.start()
+    try:
+        build_omega(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_omega_needs_two_rows(small_dataset):

@@ -1,6 +1,7 @@
-"""Property tests: the one-bincount-per-row gain-ratio build against the
-per-pair loop it replaced, and the entropy helpers against the naive
-Counter oracles, on tie-heavy and degenerate tables."""
+"""Property tests: the one-bincount-per-column gain-ratio build against
+its row-wise predecessor (bit for bit) and the per-pair loop before that
+(to a tolerance), and the entropy helpers against the naive Counter
+oracles, on tie-heavy and degenerate tables."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from chainga.data import TRAIN, Dataset
 from chainga.infotheory import build_omega, entropy, information_gain
-from oracles import loop_build_omega, ref_entropy, ref_information_gain
+from oracles import loop_build_omega, ref_entropy, ref_information_gain, rowwise_build_omega
 
 TOLERANCE = 1e-12
 
@@ -33,27 +34,34 @@ def dataset_of(X_disc, y):
 @st.composite
 def code_tables(draw):
     """Columns that are constant, equal to the label, copies of an earlier
-    column, categorical with up to n distinct codes, or drawn from 2 to 6
-    codes; the label has 1 to 4 classes."""
+    column, categorical with up to n distinct codes, one code per row
+    (spread over a wide range of values), or drawn from 2 to 10 codes, so
+    that the columns of one table have different code counts; the label
+    has 1 to 4 classes."""
     n = draw(st.integers(2, 40))
     y = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     columns = []
-    for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(("constant", "label", "copy", "categorical", "binned")))
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("constant", "label", "copy", "categorical", "distinct", "binned")))
         if kind == "constant":
             columns.append(np.full(n, draw(st.integers(0, 9))))
         elif kind == "label":
             columns.append(y.copy())
         elif kind == "copy" and columns:
             columns.append(columns[draw(st.integers(0, len(columns) - 1))].copy())
+        elif kind == "distinct":
+            columns.append(np.array(draw(st.permutations(range(n)))) * draw(st.integers(1, 1000)))
         else:
-            high = n - 1 if kind == "categorical" else draw(st.integers(1, 5))
+            high = n - 1 if kind == "categorical" else draw(st.integers(1, 9))
             columns.append(np.array(draw(st.lists(st.integers(0, high), min_size=n, max_size=n))))
     return np.stack(columns, axis=1).astype(np.int64), y
 
 
 def assert_matches_loop(dataset, rows):
     omega = build_omega(dataset, rows=rows)
+    predecessor = rowwise_build_omega(dataset, rows=rows)
+    assert np.array_equal(omega.fc, predecessor.fc)
+    assert np.array_equal(omega.ff, predecessor.ff)
     reference = loop_build_omega(dataset, rows=rows)
     assert np.max(np.abs(omega.fc - reference.fc)) <= TOLERANCE
     assert np.max(np.abs(omega.ff - reference.ff)) <= TOLERANCE
