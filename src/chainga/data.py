@@ -144,58 +144,53 @@ def _blocks(rows):
         yield block
 
 
-def _scan(text: str, header: bool):
-    """Pass 1 over the rows, a block at a time. Returns the column names
+def _scan(text: str, header: bool, late: list[int] | None = None):
+    """One parse of the rows, a block at a time. Returns the column names
     (None for a file with no rows), the data row count, the first ragged
-    row as (index, width) or None, and per column the float64 arrays of
-    its blocks, or None once a block of it held a cell that is not a
-    finite number. No block is converted after the first ragged row."""
+    row as (index, width) or None, per column the float64 arrays of its
+    blocks or None, and some columns' stripped cells, each distinct string
+    held once. No block is converted after the first ragged row.
+
+    Pass 1 (no ``late``) converts a column's blocks until one holds a cell
+    that is not a finite number, then sets it to None. A column that the
+    first block rejects has its cells collected from that block on. Pass 2
+    collects only the cells of the ``late`` columns, those rejected later,
+    whose strings pass 1 did not keep."""
     rows = _rows(text)
     first = next(rows, None)
     if first is None:
-        return None, 0, None, []
+        return None, 0, None, [], {}
     names = [c.strip() for c in first] if header else [f"f{i}" for i in range(len(first))]
-    parts = [[] for _ in names]
+    parts = [None if late else [] for _ in names]
+    cells: dict[int, list[str]] = {j: [] for j in late or ()}
+    shared: dict[str, str] = {}
     n_rows, ragged = 0, None
     for block in _blocks(rows if header else itertools.chain([first], rows)):
         if ragged is None:
             ragged = next(((n_rows + i, len(row)) for i, row in enumerate(block) if len(row) != len(names)), None)
         if ragged is None:
-            for j, (part, cells) in enumerate(zip(parts, zip(*block))):
-                if part is None:
-                    continue
-                try:  # float() semantics: surrounding whitespace and "1_0" parse
-                    values = np.array(cells, dtype=np.float64)
-                except ValueError:  # a text cell or a missing token
-                    parts[j] = None
-                    continue
-                if np.isfinite(values).all():
-                    part.append(values)
-                else:  # "nan", "inf", "1e999"
-                    parts[j] = None
+            for j, (part, column) in enumerate(zip(parts, zip(*block))):
+                if part is not None:
+                    try:  # float() semantics: surrounding whitespace and "1_0" parse
+                        values = np.array(column, dtype=np.float64)
+                    except ValueError:  # a text cell or a missing token
+                        values = None
+                    if values is not None and np.isfinite(values).all():
+                        part.append(values)
+                        continue
+                    parts[j] = None  # also for "nan", "inf", "1e999"
+                    if not n_rows:  # the first block rejects it: keep its cells from here on
+                        cells[j] = []
+                if j in cells:
+                    cells[j] += [shared.setdefault(v, v) for v in map(str.strip, column)]
         n_rows += len(block)
-    return names, n_rows, ragged, parts
-
-
-def _stripped_cells(text: str, header: bool, columns: list[int]) -> dict[int, list[str]]:
-    """Pass 2: the stripped cells of the given data columns, each distinct
-    string held once. The text is parsed again only if a column is given."""
-    if not columns:
-        return {}
-    cells: dict[int, list[str]] = {j: [] for j in columns}
-    shared: dict[str, str] = {}
-    rows = _rows(text)
-    if header:
-        next(rows)
-    for block in _blocks(rows):
-        for j, column in cells.items():
-            column += [shared.setdefault(v, v) for v in (row[j].strip() for row in block)]
-    return cells
+    return names, n_rows, ragged, parts, cells
 
 
 def _typed_column(name: str, cells: list[str], path) -> tuple[np.ndarray, int]:
     """A column from its stripped cells, and its missing-cell count."""
-    missing = [v.lower() in MISSING_TOKENS for v in cells]
+    tokens = {v for v in set(cells) if v.lower() in MISSING_TOKENS}  # each distinct string tested once
+    missing = [v in tokens for v in cells] if tokens else []
     n_missing = sum(missing)
     present = [v for v, m in zip(cells, missing) if not m] if n_missing else cells
     if not present:
@@ -230,15 +225,17 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
     so only one block's cells are alive at a time. A column whose every
     block converts to finite floats is numeric with nothing missing, and
     is kept as those floats. The other columns (a text cell, a missing
-    token or a non-finite number) are typed from a second pass that keeps
-    only their stripped cells, each distinct string held once.
+    token or a non-finite number) are typed from their stripped cells,
+    each distinct string held once. Pass 1 collects them for a column
+    that its first block rejects; only a column that a later block
+    rejects, whose earlier blocks became floats, is parsed again.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
         if "\x00" in text:  # numpy strings drop trailing NULs, merging categories
             raise DataError(f"dataset file holds a NUL character: {path}")
-        names, n_rows, ragged, parts = _scan(text, header)
+        names, n_rows, ragged, parts, cells = _scan(text, header)
     except FileNotFoundError as exc:
         raise DataError(f"dataset file not found: {path}") from exc
     except OSError as exc:
@@ -264,7 +261,9 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
     if label_column not in names:
         raise DataError(f"label column {label_column!r} not present in {path}")
 
-    cells = _stripped_cells(text, header, [j for j, part in enumerate(parts) if part is None])
+    late = [j for j, part in enumerate(parts) if part is None and j not in cells]
+    if late:  # a later block rejected them: parse again for their strings
+        cells.update(_scan(text, header, late)[4])
     del text  # its memory goes back before the joined columns are allocated
     columns: list[np.ndarray] = []
     imputed: dict[str, int] = {}

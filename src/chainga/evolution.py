@@ -25,7 +25,7 @@ import numpy as np
 from .classifier import FitnessEvaluator, FitnessRecord, MetricBundle
 from .criterion import sweep_crossover, sweep_mutation
 from .data import Dataset
-from .infotheory import GainRatioMatrix, build_omega
+from .infotheory import GainRatioMatrix
 
 
 @dataclass
@@ -249,7 +249,7 @@ def _generation(
 def run(
     dataset: Dataset,
     config: EvolutionConfig,
-    omega: GainRatioMatrix | None = None,
+    omega: GainRatioMatrix,
     threads: int = 1,
     cache: dict | None = None,
 ) -> RunResult:
@@ -263,8 +263,6 @@ def run(
     the masks it adds.
     """
     start = time.perf_counter()
-    if omega is None:
-        omega = build_omega(dataset)
     evaluator = FitnessEvaluator(dataset, config.alpha, config.knn_k, {} if cache is None else cache)
     known = len(evaluator.cache)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chainga import data
 from chainga.data import (
     BLOCK_ROWS,
     DataError,
@@ -98,6 +99,53 @@ def test_load_csv_spoilers_in_later_blocks_match_the_columnwise_loader(tmp_path)
     assert [column.dtype.kind for column in raw.columns] == ["f", "f", "O", "O"]
     for column, ref_column in zip(raw.columns, ref.columns, strict=True):
         assert column.dtype == ref_column.dtype and column.tolist() == ref_column.tolist()
+
+
+def _parses(monkeypatch) -> list:
+    """One entry per parse of CSV text by the loader."""
+    parses, rows = [], data._rows
+    monkeypatch.setattr(data, "_rows", lambda text: parses.append(1) or rows(text))
+    return parses
+
+
+def _assert_same_table(raw, ref):
+    assert (raw.names, raw.label_column, raw.imputed) == (ref.names, ref.label_column, ref.imputed)
+    for column, ref_column in zip(raw.columns, ref.columns, strict=True):
+        assert column.dtype == ref_column.dtype and column.tolist() == ref_column.tolist()
+
+
+def test_load_csv_parses_once_when_text_columns_are_text_from_row_one(tmp_path, monkeypatch):
+    # kdd41-shaped: numeric columns among three categorical ones and a text
+    # label, each text from row 1, over three blocks; a "?" in a later block
+    n = 2 * BLOCK_ROWS + 5
+    rows = [
+        f"{i % 5},{('tcp', 'udp', 'icmp')[i % 3]},{('http', 'ftp', 'smtp', 'dns')[i % 4]},"
+        f"{('SF', 'S0', 'REJ')[i % 3]},{i * 0.25},{('normal', 'dos', 'probe')[i % 3]}"
+        for i in range(n)
+    ]
+    cells = rows[n - 3].split(",")
+    rows[n - 3] = ",".join(cells[:2] + ["?"] + cells[3:])
+    path = _write(tmp_path, "duration,protocol_type,service,flag,src_bytes,class\n" + "\n".join(rows) + "\n")
+    parses = _parses(monkeypatch)
+    raw = load_csv(path, "class")
+    assert len(parses) == 1
+    ref = columnwise_load_csv(path, "class")
+    assert raw.imputed == {"service": 1}
+    assert [column.dtype.kind for column in raw.columns] == ["f", "O", "O", "O", "f", "O"]
+    _assert_same_table(raw, ref)
+
+
+def test_load_csv_parses_again_for_a_column_that_turns_text_later(tmp_path, monkeypatch):
+    # blocks of two rows: "b" is numeric in the first two blocks and text in the third
+    monkeypatch.setattr(data, "BLOCK_ROWS", 2)
+    path = _write(tmp_path, "a,b,class\nx,1,p\ny,2,q\nx,3,p\ny,4,q\nx,five,p\ny,6,q\nx,?,p\n")
+    parses = _parses(monkeypatch)
+    raw = load_csv(path, "class")
+    assert len(parses) == 2
+    ref = columnwise_load_csv(path, "class")
+    assert raw.imputed == {"b": 1}
+    assert [column.dtype.kind for column in raw.columns] == ["O", "O", "O"]
+    _assert_same_table(raw, ref)
 
 
 def test_load_csv_imputes_and_reports(tmp_path):

@@ -250,6 +250,10 @@ def _spoiled_late(cell):
 
 @example(("f0,f1\n1,p\n2,q\n3,p\n4,q\n5\n6,p\n" + OVERSIZED + ",q\n", True, "f1", 2))
 @example(("\ufeff1,p\n\n2,q,r\n3,p\n", False, "f1", 2))
+# a first-block text column, a first-block missing token and a column a
+# later block spoils; and a header-less table whose first row holds text
+@example(("f0,f1,f2,f3\nx,?,1,p\ny,2,2,q\nx,3,3,p\n y ,4,nan,q\n", True, "f3", 2))
+@example(("a,1,p\nb, 2,q\na,3,p\n", False, "f2", 2))
 @example(_spoiled_late(" ? "))
 @example(_spoiled_late("nan"))
 @example(_spoiled_late("1e999"))

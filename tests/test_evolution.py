@@ -322,7 +322,7 @@ def test_run_fixed_point_with_identical_chromosomes():
         population_size=2, subpopulations=1, elites=0, generations=1,
         mutation_prob=0.0, seed=seed,
     )
-    result = run(ds, cfg)
+    result = run(ds, cfg, build_omega(ds))
     pop = init_population(ds.d, cfg, _stream(seed, 0))
     expected = FitnessEvaluator(ds, cfg.alpha, cfg.knn_k).evaluate(pop[0][0])
     assert result.best == expected
@@ -331,7 +331,7 @@ def test_run_fixed_point_with_identical_chromosomes():
 
 def test_run_population_size_and_monotone_best(small_dataset):
     cfg = EvolutionConfig(population_size=12, subpopulations=3, elites=2, generations=6, seed=9)
-    result = run(small_dataset, cfg)
+    result = run(small_dataset, cfg, build_omega(small_dataset))
     for gen in range(1, 7):
         sizes = [row.size for row in result.trace if row.generation == gen]
         assert sum(sizes) == 12 and sizes == [4, 4, 4]
@@ -341,8 +341,9 @@ def test_run_population_size_and_monotone_best(small_dataset):
 
 def test_run_trace_reproducible(small_dataset):
     cfg = EvolutionConfig(population_size=9, subpopulations=3, elites=1, generations=4, seed=11)
-    a = run(small_dataset, cfg)
-    b = run(small_dataset, cfg)
+    omega = build_omega(small_dataset)
+    a = run(small_dataset, cfg, omega)
+    b = run(small_dataset, cfg, omega)
     assert a.trace == b.trace
     assert np.array_equal(a.best.genes, b.best.genes)
     assert a.best == b.best
@@ -351,8 +352,9 @@ def test_run_trace_reproducible(small_dataset):
 
 def test_run_threads_bit_identical(small_dataset):
     cfg = EvolutionConfig(population_size=12, subpopulations=3, elites=2, generations=5, seed=13)
-    serial = run(small_dataset, cfg, threads=1)
-    threaded = run(small_dataset, cfg, threads=3)
+    omega = build_omega(small_dataset)
+    serial = run(small_dataset, cfg, omega, threads=1)
+    threaded = run(small_dataset, cfg, omega, threads=3)
     assert serial.trace == threaded.trace
     assert np.array_equal(serial.best.genes, threaded.best.genes)
     assert serial.best == threaded.best
@@ -364,13 +366,13 @@ def test_run_on_a_warm_cache_counts_only_its_own_knn_runs(small_dataset, monkeyp
     predict = classifier.knn_predict
     monkeypatch.setattr(classifier, "knn_predict", lambda *args: knn_runs.append(1) or predict(*args))
     base = dict(population_size=8, subpopulations=2, elites=1, generations=4, mutation_prob=0.5, seed=3)
-    cache = {}
-    run(small_dataset, EvolutionConfig(**base), cache=cache)
+    cache, omega = {}, build_omega(small_dataset)
+    run(small_dataset, EvolutionConfig(**base), omega, cache=cache)
     known = len(cache)
     knn_runs.clear()
-    warm = run(small_dataset, EvolutionConfig(**base, diversity_crossover=False), cache=cache)
+    warm = run(small_dataset, EvolutionConfig(**base, diversity_crossover=False), omega, cache=cache)
     assert warm.n_classifier_evals == len(knn_runs) - 1 == len(cache) - known  # one scores the test split
-    cold = run(small_dataset, EvolutionConfig(**base, diversity_crossover=False))
+    cold = run(small_dataset, EvolutionConfig(**base, diversity_crossover=False), omega)
     assert warm.trace == cold.trace and warm.best == cold.best
     assert np.array_equal(warm.best.genes, cold.best.genes)
     assert warm.n_classifier_evals < cold.n_classifier_evals  # the first run's masks were cached
@@ -379,10 +381,11 @@ def test_run_on_a_warm_cache_counts_only_its_own_knn_runs(small_dataset, monkeyp
 def test_run_shared_cache_counters_do_not_depend_on_threads(small_dataset):
     base = dict(population_size=8, subpopulations=2, elites=1, generations=4, mutation_prob=0.5, seed=5)
     configs = [EvolutionConfig(**{**base, **ablation_overrides(row)}) for row in ABLATION_ROWS]
+    omega = build_omega(small_dataset)
 
     def battery(threads):
         cache = {}
-        results = [run(small_dataset, cfg, threads=threads, cache=cache) for cfg in configs]
+        results = [run(small_dataset, cfg, omega, threads=threads, cache=cache) for cfg in configs]
         return [(r.n_classifier_evals, r.trace, r.best, r.best.genes.tolist()) for r in results], len(cache)
 
     assert battery(1) == battery(3)
@@ -423,7 +426,7 @@ def test_run_guided_crossover_points_match_oracle(small_dataset, crossover_event
 
 def test_run_migration_containment(small_dataset, migration_events):
     cfg = EvolutionConfig(population_size=12, subpopulations=3, elites=2, generations=4, seed=23)
-    run(small_dataset, cfg)
+    run(small_dataset, cfg, build_omega(small_dataset))
     assert len(migration_events) == 4
     for pre, post in migration_events:
         for i in range(3):

@@ -11,6 +11,7 @@ import pytest
 from chainga import classifier
 from chainga.classifier import FitnessEvaluator
 from chainga.evolution import EvolutionConfig, run
+from chainga.infotheory import build_omega
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -70,7 +71,7 @@ def test_single_thread_fitness_calls_are_where_the_tracer_counts_them(small_data
 
     cfg = EvolutionConfig(population_size=8, subpopulations=2, elites=1, generations=4,
                           mutation_prob=0.5, seed=3)
-    result = run(small_dataset, cfg, threads=1)
+    result = run(small_dataset, cfg, build_omega(small_dataset), threads=1)
     assert [mask for batch in batches for mask in batch] == lookups
     assert knn_callers.count("evaluate") == result.n_classifier_evals
     assert knn_callers.count("test_metrics") == 1
