@@ -88,19 +88,6 @@ def test_load_csv_inf_is_a_category_in_text_columns(tmp_path):
     assert [column.dtype for column in raw.columns] == [object, object]
 
 
-def test_load_csv_spoilers_in_later_blocks_match_the_columnwise_loader(tmp_path):
-    # three blocks of BLOCK_ROWS rows; each spoiler sits in the last one
-    n = 2 * BLOCK_ROWS + 5
-    rows = [f"{i},{i % 7},{i / 4},{'xy'[i % 2]}" for i in range(n)]
-    rows[n - 2] = rows[n - 2].split(",", 1)[0] + ",?,text," + "xy"[n % 2]
-    path = _write(tmp_path, "a,b,c,class\n" + "\n".join(rows) + "\n")
-    raw, ref = load_csv(path, "class"), columnwise_load_csv(path, "class")
-    assert raw.imputed == ref.imputed == {"b": 1}
-    assert [column.dtype.kind for column in raw.columns] == ["f", "f", "O", "O"]
-    for column, ref_column in zip(raw.columns, ref.columns, strict=True):
-        assert column.dtype == ref_column.dtype and column.tolist() == ref_column.tolist()
-
-
 def _parses(monkeypatch) -> list:
     """One entry per parse of CSV text by the loader."""
     parses, rows = [], data._rows
@@ -112,6 +99,18 @@ def _assert_same_table(raw, ref):
     assert (raw.names, raw.label_column, raw.imputed) == (ref.names, ref.label_column, ref.imputed)
     for column, ref_column in zip(raw.columns, ref.columns, strict=True):
         assert column.dtype == ref_column.dtype and column.tolist() == ref_column.tolist()
+
+
+def test_load_csv_spoilers_in_later_blocks_match_the_columnwise_loader(tmp_path):
+    # three blocks of BLOCK_ROWS rows; each spoiler sits in the last one
+    n = 2 * BLOCK_ROWS + 5
+    rows = [f"{i},{i % 7},{i / 4},{'xy'[i % 2]}" for i in range(n)]
+    rows[n - 2] = rows[n - 2].split(",", 1)[0] + ",?,text," + "xy"[n % 2]
+    path = _write(tmp_path, "a,b,c,class\n" + "\n".join(rows) + "\n")
+    raw, ref = load_csv(path, "class"), columnwise_load_csv(path, "class")
+    assert raw.imputed == ref.imputed == {"b": 1}
+    assert [column.dtype.kind for column in raw.columns] == ["f", "f", "O", "O"]
+    _assert_same_table(raw, ref)
 
 
 def test_load_csv_parses_once_when_text_columns_are_text_from_row_one(tmp_path, monkeypatch):
