@@ -22,15 +22,6 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
     rounding slack of the k-th key include the k nearest. A query with exactly
     k of them, one class topping their vote, is settled: its k nearest in any
     order give that vote. The rest stably argsort ``cdist`` over their candidates."""
-    if train_X.shape[0] == 0:
-        raise ValueError("empty training set")
-    if train_X.ndim != 2 or train_X.shape[1] == 0:
-        raise ValueError("training matrix must select at least one feature")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if query_X.ndim != 2 or query_X.shape[1] != train_X.shape[1]:
-        raise ValueError(f"query matrix must be 2-D with {train_X.shape[1]} columns, got shape {query_X.shape}")
-
     (n_train, d), k, n_classes = train_X.shape, min(k, train_X.shape[0]), int(train_y.max()) + 1
     t_sq = np.einsum("ij,ij->i", train_X, train_X)
     pred = np.empty(len(query_X), dtype=np.intp)
@@ -81,11 +72,6 @@ def evaluate_metrics(y_true, y_pred, n_classes: int) -> MetricBundle:
     """
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    if y_true.size != y_pred.size:
-        raise ValueError(f"length mismatch: {y_true.size} vs {y_pred.size}")
-    if y_true.size == 0:
-        raise ValueError("cannot score empty label vectors")
-
     tp = np.bincount(y_true[y_true == y_pred], minlength=n_classes)
     predicted = np.bincount(y_pred, minlength=n_classes)
     support = np.bincount(y_true, minlength=n_classes)
@@ -134,9 +120,9 @@ class FitnessEvaluator:
     """
 
     dataset: Dataset
-    alpha: float = 0.01
-    k: int = 5
-    cache: dict[bytes, FitnessRecord] = field(default_factory=dict)
+    alpha: float
+    k: int
+    cache: dict[bytes, FitnessRecord]
 
     def __post_init__(self):
         ds = self.dataset
@@ -155,15 +141,11 @@ class FitnessEvaluator:
             return record
         genes = mask.copy()
         genes.setflags(write=False)
-        n_selected = int(mask.sum())
-        if n_selected == 0:
-            # sentinel: never wins a comparison against a real subset
-            record = FitnessRecord(genes, 0.0, 0.0, 0)
-        else:
-            pred = knn_predict(self._train_T[mask].T, self._train_y, self._val_T[mask].T, self.k)
-            acc = np.count_nonzero(pred == self._val_y) / self._val_y.size
-            fitness = combine_fitness(acc, n_selected, self.dataset.d, self.alpha)
-            record = FitnessRecord(genes, fitness, acc, n_selected)
+        n_selected = int(mask.sum())  # >= 1: the GA repairs every mask it scores
+        pred = knn_predict(self._train_T[mask].T, self._train_y, self._val_T[mask].T, self.k)
+        acc = np.count_nonzero(pred == self._val_y) / self._val_y.size
+        fitness = combine_fitness(acc, n_selected, self.dataset.d, self.alpha)
+        record = FitnessRecord(genes, fitness, acc, n_selected)
         self.cache[key] = record
         return record
 
@@ -180,7 +162,5 @@ class FitnessEvaluator:
         """Final report: retrain on the training partition and score the
         held-out test partition."""
         mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise ValueError("cannot score an empty feature subset")
         pred = knn_predict(self._train_T[mask].T, self._train_y, self._test_T[mask].T, self.k)
         return evaluate_metrics(self._test_y, pred, self.dataset.n_classes)

@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(commands.add_parser("run", help="seed battery with the configured flags"))
     _add_flags(commands.add_parser("ablation", help="six-row operator-flag ablation"))
     sensitivity = _add_flags(commands.add_parser("sensitivity", help="sweep M or S"))
-    sensitivity.add_argument("--parameter", required=True, choices=["M", "S", "m", "s"])
+    sensitivity.add_argument("--parameter", required=True, type=str.upper, choices=["M", "S"])
     sensitivity.add_argument("--values", required=True, type=int, nargs="+")
     return parser
 

@@ -30,16 +30,9 @@ from .infotheory import GainRatioMatrix
 _NEAR_TIE = 1e-9
 
 
-def _as_mask(mask, d: int) -> np.ndarray:
-    m = np.asarray(mask)
-    if m.shape[-1:] != (d,):
-        raise ValueError(f"mask shape {m.shape} does not end in the feature count {d}")
-    return m.astype(bool)
-
-
 def score(mask, omega: GainRatioMatrix) -> float:
     """Merit of the masked subset; the empty subset scores 0 by convention."""
-    idx = np.flatnonzero(_as_mask(mask, omega.d))
+    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
     if idx.size == 0:
         return 0.0
     sum_fc = float(omega.fc[idx].sum())
@@ -98,9 +91,7 @@ def sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> int | np.ndar
     (...), so one pair gives an int.
     """
     d = omega.d
-    if d < 2:
-        raise ValueError("crossover sweep needs at least 2 features")
-    a, b = _as_mask(parent_a, d), _as_mask(parent_b, d)
+    a, b = np.asarray(parent_a, dtype=bool), np.asarray(parent_b, dtype=bool)
     shape = a.shape[:-1]
     a, b = a.reshape(-1, d), b.reshape(-1, d)
     cuts = np.ones(len(a), dtype=np.int64)  # equal parents: every cut gives them back
@@ -138,7 +129,7 @@ def sweep_mutation(mask, omega: GainRatioMatrix) -> int:
     A flip that would empty the mask is only considered when it is the sole
     candidate (d == 1); otherwise the best non-emptying flip wins.
     """
-    m = _as_mask(mask, omega.d)
+    m = np.asarray(mask, dtype=bool)
     ind = m.astype(np.float64)
     rowcol = omega.pair_weights @ ind
     n, sum_fc, sum_ff = m.sum(), omega.fc @ ind, 0.5 * (ind @ rowcol)

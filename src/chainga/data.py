@@ -8,7 +8,7 @@ import itertools
 import operator
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,12 @@ class RawTable:
     """Column-typed table as parsed from a CSV file.
 
     A column's dtype is its type: numeric columns are float64 arrays,
-    categorical ones object arrays of strings. ``imputed`` counts the
-    missing entries filled per column (median if numeric, else mode).
+    categorical ones object arrays of strings.
     """
 
     names: list[str]
     columns: list[np.ndarray]
     label_column: str
-    imputed: dict[str, int] = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
@@ -187,12 +185,11 @@ def _scan(text: str, header: bool, late: list[int] | None = None):
     return names, n_rows, ragged, parts, cells
 
 
-def _typed_column(name: str, cells: list[str], path) -> tuple[np.ndarray, int]:
-    """A column from its stripped cells, and its missing-cell count."""
+def _typed_column(name: str, cells: list[str], path) -> np.ndarray:
+    """A column from its stripped cells, its missing cells filled."""
     tokens = {v for v in set(cells) if v.lower() in MISSING_TOKENS}  # each distinct string tested once
     missing = [v in tokens for v in cells] if tokens else []
-    n_missing = sum(missing)
-    present = [v for v, m in zip(cells, missing) if not m] if n_missing else cells
+    present = [v for v, m in zip(cells, missing) if not m] if tokens else cells
     if not present:
         raise DataError(f"column {name!r} in {path} is entirely missing")
     try:
@@ -202,7 +199,7 @@ def _typed_column(name: str, cells: list[str], path) -> tuple[np.ndarray, int]:
     numeric = values.dtype != object
     if numeric and not np.isfinite(values).all():  # inf, 1e999, -nan
         raise DataError(f"column {name!r} in {path} holds a non-finite number")
-    if n_missing:
+    if tokens:
         if numeric:
             fill = np.median(values)
         else:
@@ -211,7 +208,7 @@ def _typed_column(name: str, cells: list[str], path) -> tuple[np.ndarray, int]:
         full = np.full(len(cells), fill, dtype=values.dtype)
         full[~np.array(missing)] = values
         values = full
-    return values, n_missing
+    return values
 
 
 def load_csv(path, label_column: str, header: bool = True) -> RawTable:
@@ -219,7 +216,7 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
     present entry parses as a number and categorical otherwise.
 
     Missing entries ("", "?", "NA", ...) are imputed with the column median
-    (numeric) or mode (categorical) and counted in ``RawTable.imputed``.
+    (numeric) or mode (categorical).
 
     The file is read whole, then parsed in blocks of ``BLOCK_ROWS`` rows,
     so only one block's cells are alive at a time. A column whose every
@@ -266,18 +263,15 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
         cells.update(_scan(text, header, late)[4])
     del text  # its memory goes back before the joined columns are allocated
     columns: list[np.ndarray] = []
-    imputed: dict[str, int] = {}
     for j, name in enumerate(names):
         if parts[j] is None:
-            values, n_missing = _typed_column(name, cells.pop(j), path)
-            if n_missing:
-                imputed[name] = n_missing
+            values = _typed_column(name, cells.pop(j), path)
         else:
             values = np.concatenate(parts[j])
             parts[j] = None  # each block freed once its column is joined
         columns.append(values)
 
-    raw = RawTable(names, columns, label_column, imputed)
+    raw = RawTable(names, columns, label_column)
     if len(np.unique(raw.label_values().astype(str))) < 2:
         raise DataError(f"label column {label_column!r} has fewer than 2 distinct values")
     return raw
@@ -348,7 +342,7 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
     X_cont = np.zeros((n, d), dtype=np.float64)
     X_disc = np.zeros((n, d), dtype=np.int64)
 
-    for j, (_, col) in enumerate(feat_cols):
+    for j, (name, col) in enumerate(feat_cols):
         numeric = col.dtype != object
         if numeric:
             values = col.astype(np.float64)
@@ -360,6 +354,9 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
         ref = values[train] if train.any() else values
         lo, hi = float(ref.min()), float(ref.max())
         span = hi - lo
+        # in Python floats a range past float64 is inf, without numpy's overflow warning
+        if not np.isfinite(float(values.max()) - float(values.min())) or (span > 0 and span / bins == 0):
+            raise DataError(f"column {name!r} spans a range that float64 cannot scale into {bins} bins")
         if span > 0:
             X_cont[:, j] = np.clip((values - lo) / span, 0.0, 1.0)
             if numeric:
@@ -430,4 +427,4 @@ def subsample_raw(raw: RawTable, cap: int, seed) -> RawTable:
     ]
     sel = np.sort(np.concatenate(keep))
     columns = [col[sel] for col in raw.columns]
-    return RawTable(raw.names, columns, raw.label_column, dict(raw.imputed))
+    return RawTable(raw.names, columns, raw.label_column)

@@ -378,13 +378,9 @@ def cmd_ablation(cfg: HarnessConfig, out_dir) -> list[dict]:
 
 
 def cmd_sensitivity(cfg: HarnessConfig, parameter: str, values: list[int], out_dir) -> list[dict]:
-    """Sweep subpopulation count M or elite count S, one aggregate row per
-    value; the non-swept parameter keeps its configured default."""
-    parameter = parameter.upper()
-    if parameter not in ("M", "S"):
-        raise ConfigError(f"sensitivity parameter must be 'M' or 'S', got {parameter!r}")
-    if not values:
-        raise ConfigError("sensitivity sweep needs at least one value")
+    """Sweep subpopulation count M or elite count S (``parameter`` "M" or
+    "S"), one aggregate row per value; the non-swept parameter keeps its
+    configured default."""
     if len(set(values)) != len(values):
         raise ConfigError(f"sensitivity values repeat a value: {list(values)!r}")
 

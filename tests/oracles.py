@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmv
 from scipy.spatial.distance import cdist
 
-from chainga.criterion import _NEAR_TIE, _as_mask, _break_tie, score, sweep_crossover
+from chainga.criterion import _NEAR_TIE, _break_tie, score, sweep_crossover
 from chainga.data import MISSING_TOKENS, TRAIN, DataError, Dataset, RawTable, _stratified_split
 from chainga.evolution import _first_best, _repair, _stream, mutation_step
 from chainga.infotheory import GainRatioMatrix
@@ -220,8 +220,8 @@ def pairwise_sweep_crossover(parent_a, parent_b, omega: GainRatioMatrix) -> int:
     d = omega.d
     if d < 2:
         raise ValueError("crossover sweep needs at least 2 features")
-    a = _as_mask(parent_a, d)
-    b = _as_mask(parent_b, d)
+    a = np.asarray(parent_a, dtype=bool)
+    b = np.asarray(parent_b, dtype=bool)
     if np.array_equal(a, b):
         return 1
 
@@ -602,7 +602,6 @@ def two_pass_load_csv(path, label_column: str, header: bool = True) -> RawTable:
 
     cells = [[row[j].strip() for row in body] for j in range(width)]
     columns: list[np.ndarray] = []
-    imputed: dict[str, int] = {}
     for name, col in zip(names, cells):
         present = [v for v in col if v.lower() not in MISSING_TOKENS]
         n_missing = len(col) - len(present)
@@ -624,11 +623,9 @@ def two_pass_load_csv(path, label_column: str, header: bool = True) -> RawTable:
             values = np.array(
                 [v if v.lower() not in MISSING_TOKENS else mode for v in col], dtype=object
             )
-        if n_missing:
-            imputed[name] = n_missing
         columns.append(values)
 
-    raw = RawTable(names, columns, label_column, imputed)
+    raw = RawTable(names, columns, label_column)
     if len(np.unique(raw.label_values().astype(str))) < 2:
         raise DataError(f"label column {label_column!r} has fewer than 2 distinct values")
     return raw
@@ -680,7 +677,6 @@ def columnwise_load_csv(path, label_column: str, header: bool = True) -> RawTabl
         raise DataError(f"label column {label_column!r} not present in {path}")
 
     columns: list[np.ndarray] = []
-    imputed: dict[str, int] = {}
     for name, col in zip(names, zip(*body)):
         cells = [v.strip() for v in col]
         missing = [v.lower() in MISSING_TOKENS for v in cells]
@@ -704,10 +700,9 @@ def columnwise_load_csv(path, label_column: str, header: bool = True) -> RawTabl
             full = np.full(len(cells), fill, dtype=values.dtype)
             full[~np.array(missing)] = values
             values = full
-            imputed[name] = n_missing
         columns.append(values)
 
-    raw = RawTable(names, columns, label_column, imputed)
+    raw = RawTable(names, columns, label_column)
     if len(np.unique(raw.label_values().astype(str))) < 2:
         raise DataError(f"label column {label_column!r} has fewer than 2 distinct values")
     return raw

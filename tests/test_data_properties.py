@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainga import data
-from chainga.data import MISSING_TOKENS, TEST, TRAIN, VAL, DataError, RawTable, load_csv, prepare, subsample_raw
+from chainga.data import TEST, TRAIN, VAL, DataError, RawTable, load_csv, prepare, subsample_raw
 from oracles import columnwise_load_csv, dict_prepare, two_pass_load_csv
 
 
@@ -92,9 +92,6 @@ def test_load_csv_and_prepare_properties(table, bins, split_seed):
         warnings.simplefilter("ignore")  # the small-class fallback warns
         ds = prepare(raw, bins=bins, split_seed=split_seed)
 
-    missing = {name: sum(r[j].strip().lower() in MISSING_TOKENS for r in rows)
-               for j, name in enumerate(header[:-1])}
-    assert raw.imputed == {name: count for name, count in missing.items() if count}
     for column in raw.columns:
         assert column.dtype == object or np.isfinite(column).all()
     assert np.isfinite(ds.X_cont).all()
@@ -181,7 +178,7 @@ def test_load_csv_and_prepare_match_their_predecessors(rows, bins, split_seed):
     if ref_ds is None:
         assert raw == ref_raw  # the same data error
         return
-    assert (raw.names, raw.label_column, raw.imputed) == (ref_raw.names, ref_raw.label_column, ref_raw.imputed)
+    assert (raw.names, raw.label_column) == (ref_raw.names, ref_raw.label_column)
     for column, ref in zip(raw.columns, ref_raw.columns, strict=True):
         assert column.dtype == ref.dtype and column.tolist() == ref.tolist()
         assert column.dtype == object or column.tobytes() == ref.tobytes()  # -0.0 too
@@ -270,7 +267,7 @@ def test_load_csv_matches_the_columnwise_loader_across_blocks(case):
     if isinstance(ref, DataError):
         assert type(raw) is type(ref) and str(raw) == str(ref)
         return
-    assert (raw.names, raw.label_column, raw.imputed) == (ref.names, ref.label_column, ref.imputed)
+    assert (raw.names, raw.label_column) == (ref.names, ref.label_column)
     for column, ref_column in zip(raw.columns, ref.columns, strict=True):
         assert column.dtype == ref_column.dtype and column.tolist() == ref_column.tolist()
         assert column.dtype == object or column.tobytes() == ref_column.tobytes()  # -0.0 too

@@ -324,7 +324,7 @@ def test_run_fixed_point_with_identical_chromosomes():
     )
     result = run(ds, cfg, build_omega(ds))
     pop = init_population(ds.d, cfg, _stream(seed, 0))
-    expected = FitnessEvaluator(ds, cfg.alpha, cfg.knn_k).evaluate(pop[0][0])
+    expected = FitnessEvaluator(ds, cfg.alpha, cfg.knn_k, {}).evaluate(pop[0][0])
     assert result.best == expected
     assert np.array_equal(result.best.genes, pop[0][0])
 

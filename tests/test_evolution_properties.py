@@ -24,9 +24,11 @@ from oracles import loop_crossover, serial_generation
 
 def _tie_heavy_fitness(levels):
     """Fitness from a digest of the mask onto ``levels`` values in [0, 1]:
-    few distinct values, so most comparisons are ties."""
+    few distinct values, so most comparisons are ties. Every mask scored
+    must have a set gene: the GA repairs each one it makes."""
 
     def evaluate(genes):
+        assert np.any(genes), "the GA scored an empty mask"
         value = int.from_bytes(mask_key(genes), "little") % levels / max(levels - 1, 1)
         genes = np.array(genes, dtype=bool)
         genes.setflags(write=False)

@@ -137,6 +137,21 @@ def test_cli_label_only_csv_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_csv_column_range_past_float64_is_data_error(tmp_path, capsys):
+    # 1e308 - (-1e308) is inf: the scaled column held NaN and KNN voted over nothing
+    rows = [f"{i},{i % 7},c{i % 2}" for i in range(60)]
+    rows[:2] = ["1e308,0,c0", "-1e308,1,c1"]
+    (tmp_path / "table.csv").write_text("x,y,class\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    manifest = {"type": "csv", "path": "table.csv", "label_column": "class"}
+    config_path = write_configs(tmp_path, seeds=(1,), manifest=manifest,
+                                evolution=dict(EVOLUTION, generations=3))  # N=6, M=3, S=1, T=3
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "'x'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "ablation"])
 def test_cli_data_error_removes_only_the_directories_it_made(tmp_path, capsys, command):
     manifest = {"type": "csv", "path": "absent.csv", "label_column": "class"}
@@ -500,6 +515,26 @@ def test_sensitivity_rejects_repeated_values(tmp_path, capsys):
     assert code == 1
     assert "sensitivity values repeat a value" in capsys.readouterr().err
     assert not (tmp_path / "y").exists()
+
+
+def test_cli_sensitivity_parameter_is_case_insensitive(tmp_path):
+    config_path = write_configs(tmp_path, seeds=(1,), evolution=dict(EVOLUTION, population_size=12))
+    out = tmp_path / "sens"
+    assert cli.main(["sensitivity", "--config", str(config_path), "--out", str(out),
+                     "--parameter", "m", "--values", "1", "3"]) == 0
+    assert [row["parameter"] for row in read_table(out / "sensitivity.csv")] == ["M", "M"]
+    assert yaml.safe_load((out / "run_manifest.yaml").read_text(encoding="utf-8"))["parameter"] == "M"
+
+
+def test_cli_sensitivity_unknown_parameter_is_config_error(tmp_path, capsys):
+    config_path = write_configs(tmp_path, seeds=(1,))
+    out = tmp_path / "sens"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sensitivity", "--config", str(config_path), "--out", str(out),
+                  "--parameter", "x", "--values", "1"])
+    assert exc.value.code == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [True, 1.9])
