@@ -6,11 +6,24 @@ from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import Dataset
 
 _BLOCK = 2**20  # entries of one query block's n_query x n_train key matrix (8 MiB)
+
+
+def cdist(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each row of XA to each row of XB, each summed in
+    feature order as scipy's ``cdist`` sums, so bit-identical to it. Blocks of
+    XA's rows bound the (rows, len(XB), d) differences to _BLOCK entries."""
+    out = np.empty((len(XA), len(XB)))
+    step = max(1, _BLOCK // max(XB.size, 1))
+    for i in range(0, len(XA), step):
+        diff = XA[i:i + step, None] - XB
+        diff *= diff  # sum and add.reduce may add pairwise; accumulate adds in order
+        out[i:i + step] = np.add.accumulate(diff, axis=-1, out=diff)[..., -1]
+        del diff  # before the next block's differences are made
+    return np.sqrt(out, out=out)
 
 
 def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 
 from .infotheory import GainRatioMatrix
 
@@ -72,9 +71,7 @@ def _crossed_sums(a: np.ndarray, b: np.ndarray, omega: GainRatioMatrix) -> np.nd
     # weight of each feature with each start, both orders: one GEMM for all pairs
     pair = (start.reshape(-1, omega.d) @ weights).reshape(start.shape)
     turn = start[1] - start[0]  # +1 where a alone has the bit, -1 where b alone has it
-    # turn @ triu(weights): the swap of the earlier positions (the diagonal is zero),
-    # as tril(weights) @ turn.T; BLAS reads weights.T in Fortran order, without a copy
-    earlier = dtrmm(1.0, weights.T, turn.T, lower=1).T
+    earlier = turn @ omega.upper_weights  # the swap of the earlier positions
     sign = np.stack([turn, -turn])
     steps = np.stack([sign, sign * fc, sign * pair + turn * earlier])
     base = np.stack([start.sum(axis=-1), start @ fc, 0.5 * (start * pair).sum(axis=-1)])

@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng  # at import: a first draw would pay its lazy import
 
 TRAIN, VAL, TEST = 0, 1, 2
 
@@ -272,7 +273,7 @@ def load_csv(path, label_column: str, header: bool = True) -> RawTable:
         columns.append(values)
 
     raw = RawTable(names, columns, label_column)
-    if len(np.unique(raw.label_values().astype(str))) < 2:
+    if len(set(raw.label_values().astype(str).tolist())) < 2:  # a bare np.unique imports numpy.ma
         raise DataError(f"label column {label_column!r} has fewer than 2 distinct values")
     return raw
 
@@ -293,7 +294,7 @@ def _stratified_split(y: np.ndarray, n_classes: int, seed) -> np.ndarray:
     """8:1:1 split stratified by class; classes with ≥3 samples are
     guaranteed one row in each partition, smaller classes are pooled and
     split without stratification (with a warning)."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     split = np.full(len(y), TRAIN, dtype=np.int8)
     pooled: list[np.ndarray] = []
     for c in range(n_classes):
@@ -358,10 +359,10 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
         if not np.isfinite(float(values.max()) - float(values.min())) or (span > 0 and span / bins == 0):
             raise DataError(f"column {name!r} spans a range that float64 cannot scale into {bins} bins")
         if span > 0:
-            X_cont[:, j] = np.clip((values - lo) / span, 0.0, 1.0)
-            if numeric:
-                idx = np.floor((values - lo) / (span / bins)).astype(np.int64)
-                X_disc[:, j] = np.clip(idx, 0, bins - 1)
+            with np.errstate(over="ignore"):  # a subnormal span scales held-out values to inf
+                X_cont[:, j] = np.clip((values - lo) / span, 0.0, 1.0)
+                if numeric:  # clipped before the cast, which inf would not survive
+                    X_disc[:, j] = np.clip(np.floor((values - lo) / (span / bins)), 0, bins - 1)
         # constant training column: X_cont stays 0, and X_disc too if numeric
 
     return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names.tolist(), bins)
@@ -374,7 +375,7 @@ def generate_synthetic(spec: SyntheticSpec, bins: int = 10) -> Dataset:
     means two units apart, redundant features are jittered copies of
     informative ones.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = default_rng(spec.seed)
     n, c = spec.n_rows, spec.n_classes
     y = rng.permutation(np.arange(n) % c)
 
@@ -404,7 +405,7 @@ def subsample_raw(raw: RawTable, cap: int, seed) -> RawTable:
     proportional largest-remainder allocation, at least one row per class."""
     if cap >= raw.n_rows:
         return raw
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     labels = raw.label_values().astype(str)
     classes, counts = np.unique(labels, return_counts=True)
     if cap < len(classes):

@@ -85,6 +85,13 @@ class GainRatioMatrix:
         weights.setflags(write=False)
         return weights
 
+    @cached_property
+    def upper_weights(self) -> np.ndarray:
+        """pair_weights above the (zero) diagonal: column j weighs j with each i < j."""
+        upper = np.triu(self.pair_weights)
+        upper.setflags(write=False)
+        return upper
+
 
 def build_omega(dataset: Dataset, rows: np.ndarray | None = None) -> GainRatioMatrix:
     """Compute the gain-ratio matrix over the discretized view.

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
@@ -75,6 +76,20 @@ def test_knn_query_blocks_match_oracle(monkeypatch, rows_per_block, equal_rows):
     for k in (1, 5, 30, 32):
         assert np.array_equal(knn_predict(train, labels, queries, k), cdist_knn_predict(train, labels, queries, k))
 
+
+def test_knn_all_tie_refine_memory_stays_within_its_blocks():
+    # every query refines over all 100 training rows: unchunked, the refine's
+    # (2100, 100, 64) differences alone would take 102.5 MiB
+    train, queries = np.full((100, 64), 0.5), np.full((2100, 64), 0.5)
+    labels = np.arange(100) % 3
+    tracemalloc.start()
+    try:
+        pred = knn_predict(train, labels, queries, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pred.tolist() == [0] * 2100  # classes 0 and 1 tie 2-2; row 0 ranks first
+    assert peak < 32 * 2**20
 
 def test_knn_calls_cdist_once_per_refining_block_with_its_queries(monkeypatch):
     calls = []

@@ -1,6 +1,9 @@
 """Property tests: the settled/refined KNN kernel against the Gram-filtered
 kernel it replaced, the cdist-plus-partition kernel before that and the
-stable argsort before that, on tie-heavy, near-tie and vote-tie inputs."""
+stable argsort before that, on tie-heavy, near-tie and vote-tie inputs; and
+the refine's distances against scipy's cdist, bit for bit."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from chainga import classifier
 from chainga.classifier import knn_predict
 from oracles import argsort_knn_predict, cdist_knn_predict, gram_knn_predict, gram_nearest
 
@@ -132,3 +136,29 @@ def test_knn_near_ties_match_predecessors(case):
     train, labels, queries, k = case
     assert_stable_argsort_prefix(train, queries, k)
     assert_matches_predecessors(train, labels, queries, k)
+
+
+@st.composite
+def distance_cases(draw):
+    """Rows at d = 1, past numpy's 128-wide pairwise-summation block, or
+    between; on the 0.01 grid, whose squared differences tie often, or
+    uniform. Small blocks split XA's rows into chunks of one row or more."""
+    d = draw(st.one_of(st.just(1), st.integers(2, 40), st.integers(129, 300)))
+    n_a, n_b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.integers(0, 101, (n_a + n_b, d)) / 100
+    else:
+        points = rng.uniform(-2.0, 2.0, (n_a + n_b, d))
+    block = draw(st.sampled_from((2**20, 1, n_b * d, 2 * n_b * d + 1)))
+    return points[:n_a], points[n_a:], block
+
+
+@given(distance_cases())
+@example((np.array([[0.25]]), np.array([[0.75]]), 2**20))
+# 1 x 1 at d = 200: a sum over the last axis adds these pairwise, scipy in order
+@example((np.arange(200)[None] / 100, np.full((1, 200), 0.37), 2**20))
+def test_cdist_is_scipys_cdist_bit_for_bit(case):
+    XA, XB, block = case
+    with mock.patch.object(classifier, "_BLOCK", block):
+        assert np.array_equal(classifier.cdist(XA, XB), cdist(XA, XB))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from chainga.data import (
     BLOCK_ROWS,
     DataError,
     RawTable,
+    TRAIN,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
@@ -216,6 +219,23 @@ def test_prepare_rejects_a_column_too_narrow_to_bin():
     )
     with pytest.raises(DataError, match="'tiny'"):
         prepare(table, bins=10)
+
+
+def test_prepare_bins_a_held_out_value_past_a_subnormal_training_span_in_the_top_bin():
+    # a span of 1e-310 over 10 bins scales 1.0 past float64: the cast used to land it in bin 0
+    column = np.array([0.0, 1e-310] * 20)
+    column[4] = 1.0
+    table = RawTable(
+        names=["tiny", "class"],
+        columns=[column, np.array(["a", "b"] * 20, dtype=object)],
+        label_column="class",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = prepare(table, bins=10, split_seed=0)
+    assert ds.split[4] != TRAIN
+    assert ds.X_cont[4, 0] == 1.0
+    assert ds.X_disc[4, 0] == 9
 
 
 def _balanced_table(n=100):

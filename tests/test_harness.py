@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -637,3 +643,24 @@ def test_seed_list_must_not_be_empty(tmp_path):
     config_path = write_configs(tmp_path, seeds=())
     with pytest.raises(ConfigError, match="seed list"):
         load_run_config(config_path)
+
+
+def test_run_and_knn_refine_need_no_scipy(tmp_path):
+    # in a child where importing scipy fails: the shipped config runs, and an
+    # all-tie KNN call refines every query (8 candidates each for k = 4)
+    root = Path(__file__).resolve().parent.parent
+    code = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        from chainga import cli
+        from chainga.classifier import knn_predict
+        argv = ["run", "--config", "configs/synthetic.yaml", "--seeds", "1", "--out", {str(tmp_path / "run")!r}]
+        assert cli.main(argv) == 0
+        assert knn_predict(np.full((8, 3), 0.5), np.arange(8) % 2, np.full((4, 3), 0.5), 4).tolist() == [0] * 4
+        assert "scipy" not in {{name.partition(".")[0] for name, module in sys.modules.items() if module}}
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "per_seed.csv").is_file()
