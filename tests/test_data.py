@@ -222,7 +222,7 @@ def test_prepare_rejects_a_column_too_narrow_to_bin():
 
 
 def test_prepare_bins_a_held_out_value_past_a_subnormal_training_span_in_the_top_bin():
-    # a span of 1e-310 over 10 bins scales 1.0 past float64: the cast used to land it in bin 0
+    # a span of 1e-310 over 10 bins scales the held-out 1.0 past float64, into the top bin
     column = np.array([0.0, 1e-310] * 20)
     column[4] = 1.0
     table = RawTable(
