@@ -31,25 +31,34 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
     argsort of ``cdist``: distance ties prefer the lower training-row index,
     and vote ties the class whose nearest member ranks first.
 
-    One GEMM keys each training row by ``|t|^2 - 2 q.t``; rows keyed within a
-    rounding slack of the k-th key include the k nearest. A query with exactly
-    k of them, one class topping their vote, is settled: its k nearest in any
-    order give that vote. The rest stably argsort ``cdist`` over their candidates."""
+    One GEMM keys each training row by ``|t|^2 - 2 q.t``, in float32 where >= 64k
+    training rows and <= 60 features make the partition, not the GEMM, the cost;
+    rows keyed within a rounding slack of the k-th key include the k nearest. A
+    query with exactly k of them, one class topping their vote, is settled: its k
+    nearest in any order give that vote. The rest stably argsort ``cdist`` over their candidates."""
     (n_train, d), k, n_classes = train_X.shape, min(k, train_X.shape[0]), int(train_y.max()) + 1
     t_sq = np.einsum("ij,ij->i", train_X, train_X)
+    s = np.einsum("ij,ij->i", query_X, query_X)[:, None] + t_sq.max()  # S below, one per query
+    f32 = n_train >= 64 * k and d <= 60 and s.max(initial=0) < 2.0**120
+    keys_X, keys_sq = (train_X.astype(np.float32), t_sq.astype(np.float32)) if f32 else (train_X, t_sq)
+    # With u = eps/2 and S = |q|^2 + max|t|^2 >= |q - t|^2 / 2: a key is off by
+    # <= (2d + 2)uS (GEMM, |t|^2), cdist's in-order sum by <= (d + 2)u|q - t|^2,
+    # and sqrt merges squares <= 4u apart. So a column cdist ranks at or before
+    # one keyed <= kth is keyed <= kth + (8d + 20)uS; the slack is (16d + 64)uS.
+    # float32 keys, u = 2^-24 and m = 2^-126: rounding q and t, the GEMM in any
+    # summation order, |t|^2 and the add put a key <= (d + 6)uS + (4d + 1)m off (a
+    # result that underflows or is flushed is < m off). cdist adds < uS, rounding
+    # kth + slack (|kth| <= 2S) 2uS + m: so (2d + 15)uS + (8d + 3)m, and the slack is
+    # over twice that. S < 2^120 keeps every float32 value (all <= 2S) finite.
+    slack = (4 * d + 32) * 2.0**-24 * s + (16 * d + 16) * 2.0**-126 if f32 else 8 * (d + 4) * np.finfo(float).eps * s
     pred = np.empty(len(query_X), dtype=np.intp)
     step = max(1, _BLOCK // n_train)
     for i in range(0, len(query_X), step):  # query blocks bound the key matrix
         query, out = query_X[i:i + step], pred[i:i + step]
-        key = (-2.0 * query) @ train_X.T
-        key += t_sq  # |q - t|^2 - |q|^2: the same order within a row
-        kth = np.partition(key, k - 1, axis=1)[:, [k - 1]]
-        # With u = eps/2 and S = |q|^2 + max|t|^2 >= |q - t|^2 / 2: a key is off by
-        # <= (2d + 2)uS (GEMM, |t|^2), cdist's in-order sum by <= (d + 2)u|q - t|^2,
-        # and sqrt merges squares <= 4u apart. So a column cdist ranks at or before
-        # one keyed <= kth is keyed <= kth + (8d + 20)uS; the slack is (16d + 64)uS.
-        slack = 8 * (d + 4) * np.finfo(float).eps * (np.einsum("ij,ij->i", query, query)[:, None] + t_sq.max())
-        rows, cols = np.divmod(np.flatnonzero(key <= kth + slack), n_train)  # columns ascend within a row
+        key = (-2.0 * query).astype(keys_X.dtype, copy=False) @ keys_X.T
+        key += keys_sq  # |q - t|^2 - |q|^2: the same order within a row
+        limit = (np.partition(key, k - 1, axis=1)[:, [k - 1]] + slack[i:i + step]).astype(key.dtype, copy=False)
+        rows, cols = np.divmod(np.flatnonzero(key <= limit), n_train)  # columns ascend within a row
         votes = np.bincount(rows * n_classes + train_y[cols], minlength=out.size * n_classes).reshape(-1, n_classes)
         top = votes == votes.max(axis=1, keepdims=True)
         out[:] = np.argmax(top, axis=1)  # a settled query's class
@@ -115,7 +124,6 @@ class FitnessRecord:
 
     genes: np.ndarray = field(compare=False)  # read-only
     fitness: float
-    acc: float
     n_selected: int
 
 
@@ -158,7 +166,7 @@ class FitnessEvaluator:
         pred = knn_predict(self._train_T[mask].T, self._train_y, self._val_T[mask].T, self.k)
         acc = np.count_nonzero(pred == self._val_y) / self._val_y.size
         fitness = combine_fitness(acc, n_selected, self.dataset.d, self.alpha)
-        record = FitnessRecord(genes, fitness, acc, n_selected)
+        record = FitnessRecord(genes, fitness, n_selected)
         self.cache[key] = record
         return record
 

@@ -114,6 +114,44 @@ def test_knn_calls_cdist_once_per_refining_block_with_its_queries(monkeypatch):
         assert np.array_equal(candidates, train)
 
 
+def key_dtypes(monkeypatch) -> list:
+    """The dtype of every key matrix ``knn_predict`` partitions from now on."""
+    seen, partition = [], np.partition
+    monkeypatch.setattr(np, "partition", lambda a, *args, **kw: seen.append(a.dtype) or partition(a, *args, **kw))
+    return seen
+
+
+def test_knn_kdd41_shape_float32_keys_match_oracle(monkeypatch):
+    # 800 x 20 training rows on the 0.01 grid, as a kdd41 call has, each a
+    # permutation of one of four rows: equal norms, so distances tie or nearly
+    # tie, and float32 keys round them apart
+    rng = np.random.default_rng(0)
+    bases, labels = rng.integers(0, 101, (4, 20)) / 100, rng.integers(0, 5, 800)
+    train = np.array([bases[i % 4][rng.permutation(20)] for i in range(800)])
+    queries = np.concatenate([rng.integers(0, 101, (99, 20)) / 100, np.full((1, 20), 0.5)])
+    expected = cdist_knn_predict(train, labels, queries, 5)
+    seen = key_dtypes(monkeypatch)
+    assert np.array_equal(knn_predict(train, labels, queries, 5), expected)
+    assert seen == [np.float32]
+
+
+@pytest.mark.parametrize(("n_train", "d", "scale", "dtype"), [
+    (127, 60, 1.0, np.float64),  # one row short of 64k
+    (128, 60, 1.0, np.float32),
+    (128, 61, 1.0, np.float64),  # one feature past 60
+    (128, 2, 1e17, np.float32),
+    (128, 2, 1e18, np.float64),  # S past 2^120: float32 keys could overflow
+])
+def test_knn_keys_are_float32_for_many_rows_few_features_and_finite_float32_values(
+        monkeypatch, n_train, d, scale, dtype):
+    rng = np.random.default_rng(5)
+    train, labels, queries = rng.random((n_train, d)) * scale, rng.integers(0, 3, n_train), rng.random((9, d)) * scale
+    expected = cdist_knn_predict(train, labels, queries, 2)
+    seen = key_dtypes(monkeypatch)
+    assert np.array_equal(knn_predict(train, labels, queries, 2), expected)
+    assert seen == [dtype]
+
+
 def test_knn_deterministic():
     rng = np.random.default_rng(1)
     train = rng.random((50, 4))

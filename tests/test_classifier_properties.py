@@ -1,7 +1,8 @@
 """Property tests: the settled/refined KNN kernel against the Gram-filtered
 kernel it replaced, the cdist-plus-partition kernel before that and the
-stable argsort before that, on tie-heavy, near-tie and vote-tie inputs; and
-the refine's distances against scipy's cdist, bit for bit."""
+stable argsort before that, on tie-heavy, near-tie and vote-tie inputs, with
+float64 and with float32 keys; and the refine's distances against scipy's
+cdist, bit for bit."""
 
 from unittest import mock
 
@@ -136,6 +137,46 @@ def test_knn_near_ties_match_predecessors(case):
     train, labels, queries, k = case
     assert_stable_argsort_prefix(train, queries, k)
     assert_matches_predecessors(train, labels, queries, k)
+
+
+def float32_key_case(seed, n_train, d, k, scale=1.0):
+    """Training rows on the 0.01 grid, most of them permutations of one row (equal
+    norms: the all-0.5 query ties them exactly, others nearly) and the rest
+    duplicates of earlier rows, times ``scale``, with grid, all-0.5 and training-row
+    queries. A tiny scale makes float32 products underflow; a huge one pushes S
+    past the float32 range."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 101, d) / 100
+    train = np.array([base[rng.permutation(d)] for _ in range(n_train)])
+    duplicated = rng.random(n_train) < 0.3
+    train[duplicated] = train[rng.integers(0, n_train, duplicated.sum())]
+    labels = rng.integers(0, rng.integers(2, 5), n_train)
+    queries = np.concatenate([rng.integers(0, 101, (6, d)) / 100, np.full((1, d), 0.5)])
+    queries = np.concatenate([queries, train[rng.integers(0, n_train, 4)]])
+    return train * scale, labels, queries * scale, k
+
+
+@st.composite
+def float32_key_cases(draw):
+    """k = 1 or 2 and 64-200 training rows, d on either side of 60: calls on both
+    sides of the switch to float32 keys (>= 64k training rows, <= 60 features)."""
+    k, n_train = draw(st.integers(1, 2)), draw(st.integers(64, 200))
+    d = draw(st.one_of(st.integers(1, 8), st.integers(56, 64)))
+    scale = draw(st.sampled_from((1.0, 1.0, 1e-19, 1e-20, 1e-22, 1e-30, 1e17, 1e30)))
+    return float32_key_case(draw(st.integers(0, 2**32 - 1)), n_train, d, k, scale)
+
+
+@given(float32_key_cases())
+@example(float32_key_case(1, 63, 60, 1))  # one row short of 64k: float64 keys
+@example(float32_key_case(1, 64, 60, 1))
+@example(float32_key_case(2, 127, 60, 2))
+@example(float32_key_case(2, 128, 60, 2))
+@example(float32_key_case(3, 128, 61, 2))  # one feature past 60: float64 keys
+@example(float32_key_case(4, 100, 20, 1, 1e-30))  # every float32 product underflows
+@example(float32_key_case(2, 100, 20, 1, 1e-22))  # float32 squares are a few subnormal steps
+@example(float32_key_case(6, 100, 20, 1, 1e30))  # S past 2^120: float64 keys
+def test_knn_float32_keys_match_predecessors(case):
+    assert_matches_predecessors(*case)
 
 
 @st.composite

@@ -30,7 +30,7 @@ def _genes(bits):
 
 def _chrom(bits, fitness):
     genes = _genes(bits)
-    return FitnessRecord(genes, fitness, fitness, int(genes.sum()))
+    return FitnessRecord(genes, fitness, int(genes.sum()))
 
 
 def _record(table, genes):

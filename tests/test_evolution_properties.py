@@ -32,7 +32,7 @@ def _tie_heavy_fitness(levels):
         value = int.from_bytes(mask_key(genes), "little") % levels / max(levels - 1, 1)
         genes = np.array(genes, dtype=bool)
         genes.setflags(write=False)
-        return FitnessRecord(genes, value, value, int(genes.sum()))
+        return FitnessRecord(genes, value, int(genes.sum()))
 
     return evaluate
 
