@@ -45,11 +45,11 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
     # <= (2d + 2)uS (GEMM, |t|^2), cdist's in-order sum by <= (d + 2)u|q - t|^2,
     # and sqrt merges squares <= 4u apart. So a column cdist ranks at or before
     # one keyed <= kth is keyed <= kth + (8d + 20)uS; the slack is (16d + 64)uS.
-    # float32 keys, u = 2^-24 and m = 2^-126: rounding q and t, the GEMM in any
-    # summation order, |t|^2 and the add put a key <= (d + 6)uS + (4d + 1)m off (a
-    # result that underflows or is flushed is < m off). cdist adds < uS, rounding
-    # kth + slack (|kth| <= 2S) 2uS + m: so (2d + 15)uS + (8d + 3)m, and the slack is
-    # over twice that. S < 2^120 keeps every float32 value (all <= 2S) finite.
+    # float32 keys, u = 2^-24 and m = 2^-126: rounding q and t to float32, the GEMM
+    # in any summation order, |t|^2 and the add put a key <= (d + 6)uS + (4d + 1)m
+    # off, as a result that underflows (or is flushed) is < m off. cdist adds < uS,
+    # rounding kth + slack (|kth| <= 2S) 2uS + m: the slack is over twice the
+    # (2d + 15)uS + (8d + 3)m this needs. S < 2^120 keeps each float32 value finite.
     slack = (4 * d + 32) * 2.0**-24 * s + (16 * d + 16) * 2.0**-126 if f32 else 8 * (d + 4) * np.finfo(float).eps * s
     pred = np.empty(len(query_X), dtype=np.intp)
     step = max(1, _BLOCK // n_train)
