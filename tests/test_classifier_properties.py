@@ -162,7 +162,7 @@ def float32_key_cases(draw):
     sides of the switch to float32 keys (>= 64k training rows, <= 60 features)."""
     k, n_train = draw(st.integers(1, 2)), draw(st.integers(64, 200))
     d = draw(st.one_of(st.integers(1, 8), st.integers(56, 64)))
-    scale = draw(st.sampled_from((1.0, 1.0, 1e-19, 1e-20, 1e-22, 1e-30, 1e17, 1e30)))
+    scale = draw(st.sampled_from((1.0, 1.0, 1e-19, 1e-20, 1e-22, 1e-30, 1e17, 1e30)))  # 1 drawn twice as often
     return float32_key_case(draw(st.integers(0, 2**32 - 1)), n_train, d, k, scale)
 
 
