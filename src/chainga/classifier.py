@@ -31,15 +31,15 @@ def knn_predict(train_X: np.ndarray, train_y: np.ndarray, query_X: np.ndarray, k
     argsort of ``cdist``: distance ties prefer the lower training-row index,
     and vote ties the class whose nearest member ranks first.
 
-    One GEMM keys each training row by ``|t|^2 - 2 q.t``, in float32 where >= 64k
-    training rows and <= 60 features make the partition, not the GEMM, the cost;
-    rows keyed within a rounding slack of the k-th key include the k nearest. A
-    query with exactly k of them, one class topping their vote, is settled: its k
-    nearest in any order give that vote. The rest stably argsort ``cdist`` over their candidates."""
+    One GEMM keys each training row by ``|t|^2 - 2 q.t``; rows keyed within a rounding slack of the
+    k-th key include the k nearest. Float32 keys halve the GEMM, partition and filter work, which
+    pays from 480 training rows; but their slack grows with d, and past 80 features it refines more
+    queries than they save. A query with exactly k candidates, one class topping their vote, is
+    settled: its k nearest in any order give that vote. The rest stably argsort their candidates' ``cdist``."""
     (n_train, d), k, n_classes = train_X.shape, min(k, train_X.shape[0]), int(train_y.max()) + 1
     t_sq = np.einsum("ij,ij->i", train_X, train_X)
     s = np.einsum("ij,ij->i", query_X, query_X)[:, None] + t_sq.max()  # S below, one per query
-    f32 = n_train >= 64 * k and d <= 60 and s.max(initial=0) < 2.0**120
+    f32 = n_train >= 480 and d <= 80 and s.max(initial=0) < 2.0**120
     keys_X, keys_sq = (train_X.astype(np.float32), t_sq.astype(np.float32)) if f32 else (train_X, t_sq)
     # With u = eps/2 and S = |q|^2 + max|t|^2 >= |q - t|^2 / 2: a key is off by
     # <= (2d + 2)uS (GEMM, |t|^2), cdist's in-order sum by <= (d + 2)u|q - t|^2,

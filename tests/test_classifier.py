@@ -136,11 +136,11 @@ def test_knn_kdd41_shape_float32_keys_match_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize(("n_train", "d", "scale", "dtype"), [
-    (127, 60, 1.0, np.float64),  # one row short of 64k
-    (128, 60, 1.0, np.float32),
-    (128, 61, 1.0, np.float64),  # one feature past 60
-    (128, 2, 1e17, np.float32),
-    (128, 2, 1e18, np.float64),  # S past 2^120: float32 keys could overflow
+    (479, 80, 1.0, np.float64),  # one row short of 480
+    (480, 80, 1.0, np.float32),
+    (480, 81, 1.0, np.float64),  # one feature past 80
+    (480, 2, 1e17, np.float32),
+    (480, 2, 1e18, np.float64),  # S past 2^120: float32 keys could overflow
 ])
 def test_knn_keys_are_float32_for_many_rows_few_features_and_finite_float32_values(
         monkeypatch, n_train, d, scale, dtype):

@@ -158,23 +158,23 @@ def float32_key_case(seed, n_train, d, k, scale=1.0):
 
 @st.composite
 def float32_key_cases(draw):
-    """k = 1 or 2 and 64-200 training rows, d on either side of 60: calls on both
-    sides of the switch to float32 keys (>= 64k training rows, <= 60 features)."""
-    k, n_train = draw(st.integers(1, 2)), draw(st.integers(64, 200))
-    d = draw(st.one_of(st.integers(1, 8), st.integers(56, 64)))
+    """k = 1 to 5, 440-560 training rows and d on either side of 80: calls on both
+    sides of the switch to float32 keys (>= 480 training rows, <= 80 features)."""
+    k, n_train = draw(st.integers(1, 5)), draw(st.integers(440, 560))
+    d = draw(st.one_of(st.integers(1, 8), st.integers(76, 84)))
     scale = draw(st.sampled_from((1.0, 1.0, 1e-19, 1e-20, 1e-22, 1e-30, 1e17, 1e30)))  # 1 drawn twice as often
     return float32_key_case(draw(st.integers(0, 2**32 - 1)), n_train, d, k, scale)
 
 
 @given(float32_key_cases())
-@example(float32_key_case(1, 63, 60, 1))  # one row short of 64k: float64 keys
-@example(float32_key_case(1, 64, 60, 1))
-@example(float32_key_case(2, 127, 60, 2))
-@example(float32_key_case(2, 128, 60, 2))
-@example(float32_key_case(3, 128, 61, 2))  # one feature past 60: float64 keys
-@example(float32_key_case(4, 100, 20, 1, 1e-30))  # every float32 product underflows
-@example(float32_key_case(2, 100, 20, 1, 1e-22))  # float32 squares are a few subnormal steps
-@example(float32_key_case(6, 100, 20, 1, 1e30))  # S past 2^120: float64 keys
+@example(float32_key_case(1, 479, 80, 1))  # one row short of 480: float64 keys
+@example(float32_key_case(1, 480, 80, 1))
+@example(float32_key_case(2, 479, 80, 5))
+@example(float32_key_case(2, 480, 80, 5))
+@example(float32_key_case(3, 480, 81, 2))  # one feature past 80: float64 keys
+@example(float32_key_case(4, 480, 20, 1, 1e-30))  # every float32 product underflows
+@example(float32_key_case(1, 480, 80, 5, 1e-22))  # float32 squares are a few subnormal steps
+@example(float32_key_case(6, 480, 20, 1, 1e30))  # S past 2^120: float64 keys
 def test_knn_float32_keys_match_predecessors(case):
     assert_matches_predecessors(*case)
 
