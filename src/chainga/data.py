@@ -340,30 +340,30 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
     train = split == TRAIN
 
     n, d = raw.n_rows, len(feat_cols)
-    X_cont = np.zeros((n, d), dtype=np.float64)
-    X_disc = np.zeros((n, d), dtype=np.int64)
-
-    for j, (name, col) in enumerate(feat_cols):
-        numeric = col.dtype != object
-        if numeric:
-            values = col.astype(np.float64)
-        else:
-            codes = np.unique(col.astype(str), return_inverse=True)[1]
-            values = codes.astype(np.float64)
-            X_disc[:, j] = codes
-
-        ref = values[train] if train.any() else values
-        lo, hi = float(ref.min()), float(ref.max())
+    numeric = np.array([col.dtype != object for _, col in feat_cols])
+    # feature-major, so that a column's training values are contiguous; a category's value is its code
+    values = np.stack([col if num else np.unique(col.astype(str), return_inverse=True)[1]
+                       for (_, col), num in zip(feat_cols, numeric)], out=np.empty((d, n)))
+    # C order, so that each row is reduced as its own min() would, down to the sign of a zero minimum
+    ref = values.compress(train, axis=1) if train.any() else values
+    lo, hi = ref.min(axis=1), ref.max(axis=1)
+    del ref
+    # a range past float64 is inf (or inf - inf), and a subnormal span scales held-out values to inf
+    with np.errstate(over="ignore", invalid="ignore"):
         span = hi - lo
-        # in Python floats a range past float64 is inf, without numpy's overflow warning
-        if not np.isfinite(float(values.max()) - float(values.min())) or (span > 0 and span / bins == 0):
-            raise DataError(f"column {name!r} spans a range that float64 cannot scale into {bins} bins")
-        if span > 0:
-            with np.errstate(over="ignore"):  # a subnormal span scales held-out values to inf
-                X_cont[:, j] = np.clip((values - lo) / span, 0.0, 1.0)
-                if numeric:  # clipped before the cast, which inf would not survive
-                    X_disc[:, j] = np.clip(np.floor((values - lo) / (span / bins)), 0, bins - 1)
-        # constant training column: X_cont stays 0, and X_disc too if numeric
+        bad = ~np.isfinite(values.max(axis=1) - values.min(axis=1)) | ((span > 0) & (span / bins == 0))
+        if bad.any():
+            raise DataError(f"column {feat_cols[np.argmax(bad)][0]!r} spans a range that float64 cannot scale "
+                            f"into {bins} bins")
+        # a constant training column leaves X_cont 0, and X_disc too if numeric
+        X_cont, X_disc, binned = np.zeros((n, d)), np.zeros((n, d), dtype=np.int64), numeric & (span > 0)
+        np.copyto(X_disc, values.T, casting="unsafe", where=~numeric)
+        np.subtract(values, lo[:, None], out=values)
+        np.divide(values.T, span, out=X_cont, where=span > 0)
+        np.divide(values, (span / bins)[:, None], out=values, where=binned[:, None])
+    np.clip(np.floor(values, out=values), 0, bins - 1, out=values)  # before the cast, which inf would not survive
+    np.copyto(X_disc, values.T, casting="unsafe", where=binned)
+    np.clip(X_cont, 0.0, 1.0, out=X_cont)
 
     return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names.tolist(), bins)
 
@@ -379,9 +379,8 @@ def generate_synthetic(spec: SyntheticSpec, bins: int = 10) -> Dataset:
     n, c = spec.n_rows, spec.n_classes
     y = rng.permutation(np.arange(n) % c)
 
-    blocks = []
     informative = y[:, None] * 2.0 + rng.normal(0.0, 1.0, size=(n, spec.n_informative))
-    blocks.append(informative)
+    blocks = [informative]
     if spec.n_redundant:
         src = informative[:, np.arange(spec.n_redundant) % spec.n_informative]
         blocks.append(src + rng.normal(0.0, 0.3, size=(n, spec.n_redundant)))
@@ -389,13 +388,9 @@ def generate_synthetic(spec: SyntheticSpec, bins: int = 10) -> Dataset:
         blocks.append(rng.normal(0.0, 1.0, size=(n, spec.n_noise)))
     X = np.hstack(blocks)
 
-    names = (
-        [f"inf{i}" for i in range(spec.n_informative)]
-        + [f"red{i}" for i in range(spec.n_redundant)]
-        + [f"noise{i}" for i in range(spec.n_noise)]
-    )
-    columns = [X[:, j].copy() for j in range(X.shape[1])]
-    columns.append(np.array([f"c{v}" for v in y], dtype=object))
+    counts = {"inf": spec.n_informative, "red": spec.n_redundant, "noise": spec.n_noise}
+    names = [f"{kind}{i}" for kind, count in counts.items() for i in range(count)]
+    columns = [*X.T.copy(), np.array([f"c{v}" for v in y], dtype=object)]  # views of one feature-major copy
     raw = RawTable(names + ["class"], columns, "class")
     return prepare(raw, bins=bins, split_seed=spec.seed)
 

@@ -748,3 +748,46 @@ def dict_prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
         # constant training column: X_cont stays 0, and X_disc too if numeric
 
     return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names, bins)
+
+
+def columnwise_prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
+    """The predecessor of ``prepare``: one pass per feature column, with
+    the range check in Python floats and each column's training minimum
+    and maximum from its own 1-D reduction."""
+    if bins < 2:
+        raise DataError(f"bins must be >= 2, got {bins}")
+
+    feat_cols = [(name, col) for name, col in zip(raw.names, raw.columns) if name != raw.label_column]
+    if not feat_cols:
+        raise DataError(f"table has no feature column besides the label {raw.label_column!r}")
+    class_names, y = np.unique(raw.label_values().astype(str), return_inverse=True)
+    split = _stratified_split(y, len(class_names), split_seed)
+    train = split == TRAIN
+
+    n, d = raw.n_rows, len(feat_cols)
+    X_cont = np.zeros((n, d), dtype=np.float64)
+    X_disc = np.zeros((n, d), dtype=np.int64)
+
+    for j, (name, col) in enumerate(feat_cols):
+        numeric = col.dtype != object
+        if numeric:
+            values = col.astype(np.float64)
+        else:
+            codes = np.unique(col.astype(str), return_inverse=True)[1]
+            values = codes.astype(np.float64)
+            X_disc[:, j] = codes
+
+        ref = values[train] if train.any() else values
+        lo, hi = float(ref.min()), float(ref.max())
+        span = hi - lo
+        # in Python floats a range past float64 is inf, without numpy's overflow warning
+        if not np.isfinite(float(values.max()) - float(values.min())) or (span > 0 and span / bins == 0):
+            raise DataError(f"column {name!r} spans a range that float64 cannot scale into {bins} bins")
+        if span > 0:
+            with np.errstate(over="ignore"):  # a subnormal span scales held-out values to inf
+                X_cont[:, j] = np.clip((values - lo) / span, 0.0, 1.0)
+                if numeric:  # clipped before the cast, which inf would not survive
+                    X_disc[:, j] = np.clip(np.floor((values - lo) / (span / bins)), 0, bins - 1)
+        # constant training column: X_cont stays 0, and X_disc too if numeric
+
+    return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names.tolist(), bins)

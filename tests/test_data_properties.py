@@ -1,5 +1,5 @@
-"""Property tests for the stratified row cap and for CSV loading and
-preparation."""
+"""Property tests for the stratified row cap, for CSV loading and
+preparation, and for prepare against its column-wise predecessor."""
 
 import csv
 import tempfile
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chainga import data
 from chainga.data import TEST, TRAIN, VAL, DataError, RawTable, load_csv, prepare, subsample_raw
-from oracles import columnwise_load_csv, dict_prepare, two_pass_load_csv
+from oracles import columnwise_load_csv, columnwise_prepare, dict_prepare, two_pass_load_csv
 
 
 @st.composite
@@ -271,3 +271,82 @@ def test_load_csv_matches_the_columnwise_loader_across_blocks(case):
     for column, ref_column in zip(raw.columns, ref.columns, strict=True):
         assert column.dtype == ref_column.dtype and column.tolist() == ref_column.tolist()
         assert column.dtype == object or column.tobytes() == ref_column.tobytes()  # -0.0 too
+
+
+# numeric cells for the comparison of prepare with its column-wise predecessor:
+# both zeros (a column's training minimum keeps the sign its own min() picks),
+# multiples of the smallest subnormal, values at and past the float64 range,
+# and the non-finite values that a RawTable built by hand may hold
+SMALL = [0.0, -0.0, 1.0, 2.5, -3.0, 7.0]
+SUBNORMAL = [k * 5e-324 for k in range(-3, 5)] + [-0.0]
+HUGE = [1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, 1.0, np.inf, -np.inf, np.nan]
+KINDS = ("numeric", "categorical", "train-constant", "past-range", "subnormal", "huge")
+
+
+@st.composite
+def raw_tables(draw):
+    """(RawTable, bins, split seed) of three to thirty rows and one to five
+    feature columns. The split is worked out as prepare works it out, so a
+    column can be constant on the training rows only, or hold held-out values
+    past its training range."""
+    n = draw(st.integers(3, 30))
+    labels = np.array(draw(st.lists(st.sampled_from(["p", "q", "r"]), min_size=n, max_size=n)), dtype=object)
+    split_seed = draw(st.integers(0, 3))
+    y = np.unique(labels.astype(str), return_inverse=True)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the small-class fallback warns
+        train = data._stratified_split(y, int(y.max()) + 1, split_seed) == TRAIN
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(KINDS))
+        pool = {"categorical": ["a", "b", "B", "c"], "subnormal": SUBNORMAL, "huge": HUGE}.get(kind, SMALL)
+        cells = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        if kind == "train-constant":
+            cells = np.where(train, draw(st.sampled_from(SMALL)), cells)
+        elif kind == "past-range":
+            past = draw(st.lists(st.sampled_from([-1e6, -9.0, 12.0, 1e300]), min_size=n, max_size=n))
+            cells = np.where(train, cells, past)
+        columns.append(np.array(cells, dtype=object if kind == "categorical" else np.float64))
+    names = [f"f{j}" for j in range(len(columns))] + ["class"]
+    return RawTable(names, [*columns, labels], "class"), draw(st.integers(2, 12)), split_seed
+
+
+def _prepared_or_error(prep, raw, bins, split_seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the small-class fallback warns; a RuntimeWarning fails
+        try:
+            return prep(raw, bins=bins, split_seed=split_seed)
+        except DataError as exc:
+            return exc
+
+
+def _feature_table(*columns):
+    """A RawTable of float columns and a label alternating p and q."""
+    n = len(columns[0])
+    labels = np.array(["p", "q"] * (n // 2) + ["p"] * (n % 2), dtype=object)
+    names = [f"f{j}" for j in range(len(columns))] + ["class"]
+    return RawTable(names, [*map(np.array, columns), labels], "class")
+
+
+# two columns past float64: the message names the first; a training range of
+# two subnormal steps, which 3 bins can split and 4 cannot; columns of both
+# zeros whose training minimum is 0.0 by their own min() and -0.0 by a
+# reduction across the columns (-0.0 then scales to 0.0 and not to -0.0)
+@example((_feature_table([1.0, 2.0, 3.0, 1e308, -1e308, 0.0], [1e308, -1e308] * 3), 4, 0))
+@example((_feature_table([0.0, 1e-323] * 3), 3, 0))
+@example((_feature_table([0.0, 1e-323] * 3), 4, 0))
+@example((_feature_table([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, -0.0, -0.0, 0.0, 1.0, -0.0, 1.0, 1.0]), 5, 0))
+@example((_feature_table([0.0, -0.0, 1.0, -0.0, -0.0, 1.0, -0.0, 1.0, 0.0, -0.0, 1.0, 1.0, -0.0],
+                         [-0.0, -0.0, -0.0, 0.0, 1.0, 0.0, -0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]), 5, 0))
+@given(raw_tables())
+def test_prepare_matches_its_columnwise_predecessor(case):
+    raw, bins, split_seed = case
+    ds = _prepared_or_error(prepare, raw, bins, split_seed)
+    ref = _prepared_or_error(columnwise_prepare, raw, bins, split_seed)
+    if isinstance(ref, DataError):
+        assert type(ds) is type(ref) and str(ds) == str(ref)
+        return
+    for view in ("X_cont", "X_disc", "y", "split"):
+        a, b = getattr(ds, view), getattr(ref, view)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (ds.feature_names, ds.class_names, ds.bins) == (ref.feature_names, ref.class_names, ref.bins)

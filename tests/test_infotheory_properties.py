@@ -1,7 +1,8 @@
 """Property tests: the one-bincount-per-column gain-ratio build against
 its row-wise predecessor (bit for bit) and the per-pair loop before that
-(to a tolerance), and the entropy helpers against the naive Counter
-oracles, on tie-heavy and degenerate tables."""
+(to a tolerance), the entropy helpers against the naive Counter oracles,
+on tie-heavy and degenerate tables, and the one-sort feature codes
+against per-row ``_codes``."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainga.data import TRAIN, Dataset
-from chainga.infotheory import build_omega, entropy, information_gain
+from chainga.infotheory import _codes, _table_codes, build_omega, entropy, information_gain
 from oracles import loop_build_omega, ref_entropy, ref_information_gain, rowwise_build_omega
 
 TOLERANCE = 1e-12
@@ -113,3 +114,33 @@ def test_information_gain_matches_counter_oracle(data):
     feature = data.draw(st.lists(st.integers(0, high), min_size=n, max_size=n))
     expected = max(0.0, ref_information_gain(target, feature))
     assert abs(information_gain(target, feature) - expected) <= TOLERANCE
+
+
+@st.composite
+def int_tables(draw):
+    """(d, n) int64 tables, n from 1 to 40, whose rows are constant, all
+    distinct, drawn from a few small (also negative) values, or spread over
+    ±2**40; in C order or as the transposed view that build_omega passes."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    spread = st.integers(-(2**40), 2**40)
+    rows = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(("constant", "distinct", "small", "spread")))
+        if kind == "constant":
+            rows.append([draw(spread)] * n)
+        elif kind == "distinct":
+            rows.append(draw(st.lists(spread, min_size=n, max_size=n, unique=True)))
+        else:
+            values = st.integers(-3, 3) if kind == "small" else spread
+            rows.append(draw(st.lists(values, min_size=n, max_size=n)))
+    table = np.array(rows, dtype=np.int64)
+    return np.ascontiguousarray(table.T).T if draw(st.booleans()) else table
+
+
+@given(int_tables())
+def test_table_codes_match_rowwise_codes(table):
+    codes, k = _table_codes(table)
+    assert codes.dtype == np.int64 and codes.shape == table.shape and codes.flags.c_contiguous
+    for row, row_codes, row_k in zip(table, codes, k, strict=True):
+        ref_codes, ref_k = _codes(row)
+        assert np.array_equal(row_codes, ref_codes) and row_k == ref_k
