@@ -19,7 +19,8 @@ def _table_codes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's ``_codes`` of a (d, n) table, from one sort of all rows."""
     order = np.argsort(table, axis=1)
     ranks = np.take_along_axis(table, order, axis=1)  # a value's code: the distinct values below it
-    np.cumsum(np.diff(ranks, axis=1, prepend=ranks[:, :1]) != 0, axis=1, out=ranks)
+    np.cumsum(ranks[:, 1:] != ranks[:, :-1], axis=1, out=ranks[:, 1:])
+    ranks[:, 0] = 0
     codes = np.empty_like(ranks)
     np.put_along_axis(codes, order, ranks, axis=1)
     return codes, ranks[:, -1] + 1
