@@ -348,17 +348,18 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
     ref = values.compress(train, axis=1) if train.any() else values
     lo, hi = ref.min(axis=1), ref.max(axis=1)
     del ref
-    # a range past float64 is inf (or inf - inf), and a subnormal span scales held-out values to inf
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a range past float64 is inf, or nan from inf - inf
         span = hi - lo
         bad = ~np.isfinite(values.max(axis=1) - values.min(axis=1)) | ((span > 0) & (span / bins == 0))
-        if bad.any():
-            raise DataError(f"column {feat_cols[np.argmax(bad)][0]!r} spans a range that float64 cannot scale "
-                            f"into {bins} bins")
-        # a constant training column leaves X_cont 0, and X_disc too if numeric
-        X_cont, X_disc, binned = np.zeros((n, d)), np.zeros((n, d), dtype=np.int64), numeric & (span > 0)
-        np.copyto(X_disc, values.T, casting="unsafe", where=~numeric)
-        np.subtract(values, lo[:, None], out=values)
+    if bad.any():
+        name = feat_cols[np.argmax(bad)][0]
+        raise DataError(f"column {name!r} spans a range that float64 cannot scale into {bins} bins")
+    # a constant training column leaves X_cont 0, and X_disc too if numeric
+    X_cont, X_disc = np.zeros((n, d)), np.zeros((n, d), dtype=np.int64)
+    np.copyto(X_disc, values.T, casting="unsafe", where=~numeric)
+    binned = numeric & (span > 0)
+    np.subtract(values, lo[:, None], out=values)
+    with np.errstate(over="ignore"):  # a subnormal span scales held-out values to inf
         np.divide(values.T, span, out=X_cont, where=span > 0)
         np.divide(values, (span / bins)[:, None], out=values, where=binned[:, None])
     np.clip(np.floor(values, out=values), 0, bins - 1, out=values)  # before the cast, which inf would not survive
@@ -386,11 +387,10 @@ def generate_synthetic(spec: SyntheticSpec, bins: int = 10) -> Dataset:
         blocks.append(src + rng.normal(0.0, 0.3, size=(n, spec.n_redundant)))
     if spec.n_noise:
         blocks.append(rng.normal(0.0, 1.0, size=(n, spec.n_noise)))
-    X = np.hstack(blocks)
 
     counts = {"inf": spec.n_informative, "red": spec.n_redundant, "noise": spec.n_noise}
     names = [f"{kind}{i}" for kind, count in counts.items() for i in range(count)]
-    columns = [*X.T.copy(), np.array([f"c{v}" for v in y], dtype=object)]  # views of one feature-major copy
+    columns = [*np.vstack([block.T for block in blocks]), np.array([f"c{v}" for v in y], dtype=object)]
     raw = RawTable(names + ["class"], columns, "class")
     return prepare(raw, bins=bins, split_seed=spec.seed)
 

@@ -89,7 +89,7 @@ def test_load_csv_and_prepare_properties(table, bins, split_seed):
         path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n", encoding="utf-8")
         raw = load_csv(path, "class")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the small-class fallback warns
+        warnings.simplefilter("ignore", UserWarning)  # the small-class fallback warns
         ds = prepare(raw, bins=bins, split_seed=split_seed)
 
     for column in raw.columns:
@@ -149,7 +149,7 @@ def _outcome(load, prep, path, bins, split_seed):
     except DataError as exc:
         return str(exc), None
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the small-class fallback warns
+        warnings.simplefilter("ignore", UserWarning)  # the small-class fallback warns
         return raw, prep(raw, bins=bins, split_seed=split_seed)
 
 
