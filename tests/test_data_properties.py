@@ -300,6 +300,8 @@ def raw_tables(draw):
     for _ in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(KINDS))
         pool = {"categorical": ["a", "b", "B", "c"], "subnormal": SUBNORMAL, "huge": HUGE}.get(kind, SMALL)
+        if kind == "past-range" and draw(st.booleans()):  # scaling past a subnormal span overflows
+            pool = SUBNORMAL
         cells = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
         if kind == "train-constant":
             cells = np.where(train, draw(st.sampled_from(SMALL)), cells)
