@@ -365,6 +365,7 @@ def prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
     np.clip(np.floor(values, out=values), 0, bins - 1, out=values)  # before the cast, which inf would not survive
     np.copyto(X_disc, values.T, casting="unsafe", where=binned)
     np.clip(X_cont, 0.0, 1.0, out=X_cont)
+    X_cont += 0.0  # -0.0 to 0.0: clip's sign of a zero depends on numpy's SIMD kernel
 
     return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names.tolist(), bins)
 

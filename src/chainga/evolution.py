@@ -1,12 +1,12 @@
 """Chained multi-population GA engine with guided operators and elite migration.
 
 A chromosome is the evaluator's ``FitnessRecord``: a read-only mask and
-its cached score. Each subpopulation is an ordered chain: every
-chromosome crosses over with its successor (closing the ring), the best
-of {incumbent, child A, child B} takes the slot, and a mutation pass
-follows. At the end of each generation the top S elites of every
-subpopulation replace the worst chromosomes of the next one along the
-ring; none move when M = 1 or S = 0. The crossover cut and mutation
+its cached score. The population is an (M, N/M) object array of them;
+each row is a subpopulation's chain: every chromosome crosses over with
+its successor (closing the ring), the best of {incumbent, child A, child
+B} takes the slot, and a mutation pass follows. After each generation
+the top S elites of every row replace the worst of the next row along
+the ring; none move when M = 1 or S = 0. The crossover cut and mutation
 site are chosen by the gain-ratio subset criterion when the diversity
 flags are on, and uniformly at random otherwise.
 """
@@ -109,11 +109,10 @@ def _repair(genes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def init_population(
     d: int, config: EvolutionConfig, rng: np.random.Generator
-) -> list[list[np.ndarray]]:
-    """Uniform random bit masks dealt into M chains of N/M masks."""
-    size = config.population_size // config.subpopulations
-    return [[_repair(rng.integers(0, 2, size=d).astype(bool), rng) for _ in range(size)]
-            for _ in range(config.subpopulations)]
+) -> np.ndarray:
+    """Uniform random bit masks dealt into M chains of N/M masks: an (M, N/M, d) bool array."""
+    masks = [_repair(rng.integers(0, 2, size=d).astype(bool), rng) for _ in range(config.population_size)]
+    return np.array(masks).reshape(config.subpopulations, -1, d)
 
 
 def mutation_step(
@@ -135,114 +134,94 @@ def mutation_step(
     return _repair(genes, rng)
 
 
-def _top_indices(subpop: list[FitnessRecord], s: int) -> list[int]:
-    return sorted(range(len(subpop)), key=lambda i: (-subpop[i].fitness, i))[:s]
+def _fitness(records: np.ndarray) -> np.ndarray:
+    return np.fromiter((record.fitness for record in records.flat), float, records.size).reshape(records.shape)
 
 
-def _worst_indices(subpop: list[FitnessRecord], s: int) -> list[int]:
-    return sorted(range(len(subpop)), key=lambda i: (subpop[i].fitness, i))[:s]
-
-
-def migrate_elites(subpops: list[list[FitnessRecord]], s: int) -> None:
-    """Move each subpopulation's s best chromosomes over the next
-    subpopulation's s worst slots along the ring, in place.
-
-    Every sender and receiver is read before any slot is written, so the
-    result does not depend on the order in which the ring is walked.
-    """
-    m = len(subpops)
-    if s == 0 or m < 2:
+def migrate_elites(pop: np.ndarray, s: int) -> None:
+    """Move each chain's s best records over the next chain's s worst slots
+    along the ring, in place; ties go to the lower slot on both sides. Every
+    sender and receiver is read before any slot is written."""
+    if s == 0 or len(pop) < 2:
         return
-    moves = []
-    for i, subpop in enumerate(subpops):
-        elites = [subpop[t] for t in _top_indices(subpop, s)]
-        receiver = (i + 1) % m
-        slots = _worst_indices(subpops[receiver], s)
-        moves.append((receiver, slots, elites))
-    for receiver, slots, elites in moves:
-        for slot, elite in zip(slots, elites):
-            subpops[receiver][slot] = elite
+    fitness = _fitness(pop)
+    top = np.argsort(-fitness, axis=1, kind="stable")[:, :s]
+    worst = np.argsort(fitness, axis=1, kind="stable")[:, :s]
+    ring = np.arange(len(pop))[:, None]
+    pop[ring, worst] = pop[ring - 1, top[ring[:, 0] - 1]]  # chain i takes chain i-1's; read before written
 
 
-def _first_best(records: list[FitnessRecord]) -> FitnessRecord:
+def _first_best(records) -> FitnessRecord:
     """The first record of top fitness: earlier ones win ties."""
     return max(records, key=lambda record: record.fitness)
 
 
 def _crossover(
-    subpops: list[list[FitnessRecord]],
-    steps: list[tuple[int, int]],
+    pop: np.ndarray,
+    slots: np.ndarray,
     omega: GainRatioMatrix,
     config: EvolutionConfig,
     rngs: list[np.random.Generator],
     evaluate_many,
-) -> list[list[FitnessRecord]]:
-    """Chain steps (subpop i, slot j): cross slot j with slot j+1 (ring
-    closed), score every child in one batch, then keep the best of
-    {incumbent, child A, child B} in slot j; fitness ties keep the
-    incumbent, then prefer child A. Every slot is read before any is
-    written. One sweep finds every guided cut, drawing nothing from the
-    streams; the children are built as one array. Returns each step's
-    two children."""
-    n, d = len(steps), omega.d
-    parents = np.array([(subpops[i][j].genes, subpops[i][(j + 1) % len(subpops[i])].genes)
-                        for i, j in steps]).reshape(n, 2, d)
-    cuts = sweep_crossover(parents[:, 0], parents[:, 1], omega) if config.diversity_crossover else np.ones(n, int)
+) -> np.ndarray:
+    """One chain phase: in every chain, cross each slot j in ``slots`` with
+    slot j+1 (ring closed), score every child in one batch, and keep the
+    best of {incumbent, child A, child B} in slot j (ties keep the
+    incumbent, then child A). Every slot is read before any is written,
+    and one sweep finds every guided cut, drawing nothing from the
+    streams. Returns the (M, n, 2) children."""
+    (m, size), n, d = pop.shape, len(slots), omega.d
+    pairs = pop[:, (slots[:, None] + (0, 1)) % size]  # (M, n, 2): each slot and its successor
+    parents = np.array([record.genes for record in pairs.flat]).reshape(m * n, 2, d)
+    cuts = sweep_crossover(parents[:, 0], parents[:, 1], omega) if config.diversity_crossover else np.ones(m * n, int)
     # child c is parent c before the cut k and the other parent from k on, so it
     # is empty when parent c's first gene is at or after k and the other's last is before k
     pos = np.arange(d)
     first = np.where(parents, pos, d).min(axis=2).tolist()
     last = np.where(parents, pos, -1).max(axis=2)[:, ::-1].tolist()  # the other parent's
-    repairs = []  # (child, gene), drawn where and in the order a serial chain draws
-    for t, (i, _) in enumerate(steps):
+    repairs = []  # flat (child, gene) indices, drawn where and in the order a serial chain draws
+    for t in range(m * n):
+        rng = rngs[t // n]
         if not config.diversity_crossover:
-            cuts[t] = rngs[i].integers(1, d)
-        repairs += [(2 * t + c, rngs[i].integers(0, d)) for c in (0, 1) if first[t][c] >= cuts[t] > last[t][c]]
-    children = np.where(pos < cuts[:, None, None], parents, parents[:, ::-1]).reshape(2 * n, d)
-    rows, genes = np.array(repairs, dtype=int).reshape(-1, 2).T
-    children[rows, genes] = True
-    children = evaluate_many(children)
-    pairs = [children[t : t + 2] for t in range(0, len(children), 2)]
-    for (i, j), pair in zip(steps, pairs):
-        subpops[i][j] = _first_best([subpops[i][j], *pair])
-    return pairs
+            cuts[t] = rng.integers(1, d)
+        repairs += [(2 * t + c) * d + rng.integers(0, d) for c in (0, 1) if first[t][c] >= cuts[t] > last[t][c]]
+    children = np.where(pos < cuts[:, None, None], parents, parents[:, ::-1]).reshape(2 * m * n, d)
+    children.flat[repairs] = True
+    children = np.fromiter(evaluate_many(children), dtype=object, count=2 * m * n).reshape(m, n, 2)
+    rivals = np.concatenate([pairs[:, :, :1], children], axis=2).reshape(m * n, 3)
+    pop[:, slots] = rivals[np.arange(m * n), _fitness(rivals).argmax(axis=1)].reshape(m, n)
+    return children
 
 
 def _generation(
-    subpops: list[list[FitnessRecord]],
+    pop: np.ndarray,
     generation: int,
     omega: GainRatioMatrix,
     config: EvolutionConfig,
     evaluate_many,
 ) -> list[FitnessRecord]:
-    """One generation of every subpopulation, in three batches: the chain
-    steps 0..size-2 (they read only the original slots j and j+1), the
-    ring closures (they read step 0's winner), then the mutants.
-
-    Each subpopulation draws from its own stream, keyed by (seed,
-    generation, subpop index), in the order of a serial walk of its
-    chain; the draws depend on genes only, never on fitness. A mutant
-    takes its slot once scored. Returns every record evaluated, in serial
-    chain order: per subpopulation, its children and then its mutants.
+    """One generation of every chain, in three batches: the chain steps
+    0..size-2 (they read only the original slots j and j+1), the ring
+    closures (they read step 0's winner), then the mutants. Each chain
+    draws from its own stream, keyed by (seed, generation, chain index),
+    in the order of a serial walk of the chain; the draws depend on genes
+    only, never on fitness. A mutant takes its slot once scored. Returns
+    every record evaluated, in serial chain order: per chain, its
+    children and then its mutants.
     """
-    rngs = [_stream(config.seed, 1, generation, i) for i in range(len(subpops))]
-    evaluated: list[list[FitnessRecord]] = [[] for _ in subpops]
-    if omega.d > 1:  # a cut needs two genes; a chain of one has no partner
-        inner = [(i, j) for i, sp in enumerate(subpops) for j in range(len(sp) - 1)]
-        closing = [(i, len(sp) - 1) for i, sp in enumerate(subpops) if len(sp) > 1]
-        for steps in (inner, closing):
-            for (i, _), pair in zip(steps, _crossover(subpops, steps, omega, config, rngs, evaluate_many)):
-                evaluated[i] += pair
+    m, size = pop.shape
+    rngs = [_stream(config.seed, 1, generation, i) for i in range(m)]
+    evaluated: list[list[FitnessRecord]] = [[] for _ in range(m)]
+    if omega.d > 1 and size > 1:  # a cut needs two genes; a chain of one has no partner
+        for slots in (np.arange(size - 1), np.array([size - 1])):
+            for chain, children in zip(evaluated, _crossover(pop, slots, omega, config, rngs, evaluate_many)):
+                chain += children.flat
 
-    mutants = []  # (subpop, slot, mask)
-    for i, (subpop, rng) in enumerate(zip(subpops, rngs)):
-        for j, record in enumerate(subpop):
-            genes = mutation_step(record.genes, omega, config, rng)
-            if genes is not None:
-                mutants.append((i, j, genes))
-    for (i, j, _), record in zip(mutants, evaluate_many([genes for *_, genes in mutants])):
-        subpops[i][j] = record
-        evaluated[i].append(record)
+    drawn = [mutation_step(record.genes, omega, config, rngs[t // size]) for t, record in enumerate(pop.flat)]
+    mutants = [t for t, genes in enumerate(drawn) if genes is not None]  # flat slots
+    for t, record in zip(mutants, evaluate_many([drawn[t] for t in mutants])):
+        pop.flat[t] = record
+        evaluated[t // size].append(record)
     return [record for chain in evaluated for record in chain]
 
 
@@ -267,27 +246,25 @@ def run(
     known = len(evaluator.cache)
 
     masks = init_population(dataset.d, config, _stream(config.seed, 0))
+    m, size, d = masks.shape
     trace: list[TraceRow] = []
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         evaluate_many = partial(evaluator.evaluate_many, pool=pool)
-        population = evaluate_many([genes for chain in masks for genes in chain])
-        size = len(masks[0])
-        subpops = [population[t : t + size] for t in range(0, len(population), size)]
-        best = _first_best(population)
+        pop = np.fromiter(evaluate_many(masks.reshape(m * size, d)), dtype=object, count=m * size).reshape(m, size)
+        best = _first_best(pop.flat)
         for gen in range(1, config.generations + 1):
-            best = _first_best([best, *_generation(subpops, gen, omega, config, evaluate_many)])
-            migrate_elites(subpops, config.elites)
-            for i, subpop in enumerate(subpops):
-                values = [record.fitness for record in subpop]
-                top = int(np.argmax(values))
+            best = _first_best([best, *_generation(pop, gen, omega, config, evaluate_many)])
+            migrate_elites(pop, config.elites)
+            fitness = _fitness(pop)
+            for i, (top, mean) in enumerate(zip(fitness.argmax(axis=1), fitness.mean(axis=1))):
                 trace.append(
                     TraceRow(
                         generation=gen,
                         subpop=i,
-                        size=len(subpop),
-                        best_fitness=max(values),
-                        mean_fitness=float(np.mean(values)),
-                        best_n_selected=subpop[top].n_selected,
+                        size=size,
+                        best_fitness=float(fitness[i, top]),
+                        mean_fitness=float(mean),
+                        best_n_selected=pop[i, top].n_selected,
                     )
                 )
 

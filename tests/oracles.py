@@ -3,14 +3,20 @@
 Everything here is deliberately naive (Counter-based entropies, double
 loops, per-candidate enumeration) or is the loop-based predecessor of an
 optimised kernel. Nothing shares code with the package beyond ``score``
-and its near-tie tolerance, except ``serial_generation``, which replays
-the GA's own operators on its fitness records one chain step at a time,
-and ``loop_crossover``, which keeps the GA's best-of-three selection,
-and the data-layer predecessors, which build the package's own tables
-with its missing tokens and its stratified split, and the one-pair
-crossover sweep, which breaks near-ties with the package's
-``_break_tie``. The sweep oracles return (index, merit), except that
-one-pair predecessor; the sweeps themselves return only the index.
+and its near-tie tolerance, except:
+- ``serial_generation``, which replays the GA's own operators on its
+  fitness records one chain step at a time, and ``loop_crossover``, which
+  keeps the GA's best-of-three selection;
+- the data-layer predecessors, which build the package's own tables with
+  its missing tokens and its stratified split;
+- the one-pair crossover sweep, which breaks near-ties with the package's
+  ``_break_tie``.
+
+The GA predecessors (``serial_generation``, ``loop_crossover`` and
+``list_migrate_elites``) hold the population as a list of lists of
+records; ``population`` turns such a list into the GA's (M, size) record
+array. The sweep oracles return (index, merit), except that one-pair
+predecessor; the sweeps themselves return only the index.
 """
 
 from __future__ import annotations
@@ -552,6 +558,37 @@ def serial_generation(subpops, generation, omega, config, evaluate):
     return evaluated
 
 
+def population(chains) -> np.ndarray:
+    """Chains of records, all of one length, as the GA's (M, size) object array."""
+    return np.array(chains, dtype=object)
+
+
+def _top_indices(subpop, s):
+    return sorted(range(len(subpop)), key=lambda i: (-subpop[i].fitness, i))[:s]
+
+
+def _worst_indices(subpop, s):
+    return sorted(range(len(subpop)), key=lambda i: (subpop[i].fitness, i))[:s]
+
+
+def list_migrate_elites(subpops, s):
+    """The predecessor of ``evolution.migrate_elites``, on lists of lists:
+    each subpopulation's s best records, found by a sorted key, over the
+    next one's s worst slots, all read before any slot is written."""
+    m = len(subpops)
+    if s == 0 or m < 2:
+        return
+    moves = []
+    for i, subpop in enumerate(subpops):
+        elites = [subpop[t] for t in _top_indices(subpop, s)]
+        receiver = (i + 1) % m
+        slots = _worst_indices(subpops[receiver], s)
+        moves.append((receiver, slots, elites))
+    for receiver, slots, elites in moves:
+        for slot, elite in zip(slots, elites):
+            subpops[receiver][slot] = elite
+
+
 def _parse_number(token: str) -> float | None:
     try:
         return float(token)
@@ -747,6 +784,7 @@ def dict_prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
                 X_disc[:, j] = np.clip(idx, 0, bins - 1)
         # constant training column: X_cont stays 0, and X_disc too if numeric
 
+    X_cont += 0.0  # every zero positive, as prepare makes them
     return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names, bins)
 
 
@@ -790,4 +828,5 @@ def columnwise_prepare(raw: RawTable, bins: int = 10, split_seed=0) -> Dataset:
                     X_disc[:, j] = np.clip(np.floor((values - lo) / (span / bins)), 0, bins - 1)
         # constant training column: X_cont stays 0, and X_disc too if numeric
 
+    X_cont += 0.0  # every zero positive, as prepare makes them
     return Dataset(X_cont, X_disc, y, split, [f[0] for f in feat_cols], class_names.tolist(), bins)

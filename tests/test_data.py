@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +240,42 @@ def test_prepare_bins_a_held_out_value_past_a_subnormal_training_span_in_the_top
     assert ds.split[4] != TRAIN
     assert ds.X_cont[4, 0] == 1.0
     assert ds.X_disc[4, 0] == 9
+
+
+# prepare's X_cont for 1000 drawn tables of 0.0, -0.0 and small values, hashed
+SIGN_PROBE = """
+import hashlib, warnings
+import numpy as np
+from chainga.data import RawTable, prepare
+
+warnings.simplefilter("ignore", UserWarning)  # the small-class fallback warns
+rng = np.random.default_rng(0)
+pool = np.array([0.0, -0.0, 1e-3, -1e-3, 0.25, 1.0])
+digest, signed = hashlib.sha256(), 0
+for _ in range(1000):
+    n, d = rng.integers(3, 31), rng.integers(1, 6)
+    labels = np.array(["p", "q"], dtype=object)[rng.integers(0, 2, n)]
+    raw = RawTable([f"f{j}" for j in range(d)] + ["class"], [*rng.choice(pool, (d, n)), labels], "class")
+    X_cont = prepare(raw).X_cont
+    digest.update(X_cont.tobytes())
+    signed += bool(np.signbit(X_cont).any())
+print(digest.hexdigest(), signed)
+"""
+
+
+def test_prepare_x_cont_does_not_depend_on_the_simd_kernel():
+    # clip's sign of a zero depends on the kernel numpy dispatches to; X_cont
+    # holds no -0.0, so it hashes the same whatever the CPU features allowed
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+        env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": disabled}
+        proc = subprocess.run([sys.executable, "-c", SIGN_PROBE], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digest, signed = proc.stdout.split()
+        assert signed == "0", f"{signed} tables hold -0.0 with {disabled!r} disabled"
+        outputs.add(digest)
+    assert len(outputs) == 1
 
 
 def _balanced_table(n=100):

@@ -19,7 +19,7 @@ from chainga.evolution import (
 )
 from chainga.harness import ABLATION_ROWS, ablation_overrides
 from chainga.infotheory import GainRatioMatrix, build_omega
-from oracles import oracle_crossover
+from oracles import oracle_crossover, population
 
 
 def _genes(bits):
@@ -80,6 +80,7 @@ def test_init_population_sizes():
     assert len(pop) == 3
     assert [len(sp) for sp in pop] == [10, 10, 10]
     assert sum(len(sp) for sp in pop) == 30
+    assert pop.shape == (3, 10, 12) and pop.dtype == bool
 
 
 def test_init_population_single_subpop():
@@ -107,7 +108,7 @@ def test_chain_crossover_identical_parents_keeps_incumbent(flat_omega):
     table = {(1, 0, 1, 0): 0.5}
     incumbent = _chrom([1, 0, 1, 0], 0.5)
     partner = _chrom([1, 0, 1, 0], 0.5)
-    subpops = [[incumbent, partner]]
+    subpops = population([[incumbent, partner]])
     _generation(subpops, 1, flat_omega, _CROSSOVER_ONLY, _stub_evaluate_many(table))
     assert subpops[0][0] is incumbent
     assert subpops[0][1] is partner
@@ -119,7 +120,7 @@ def test_chain_crossover_incumbent_dominates(flat_omega):
     table = {(1, 0, 0, 1): 0.9, (0, 0, 0, 1): 0.2}
     incumbent = _chrom([1, 0, 0, 1], 0.9)
     partner = _chrom([0, 0, 0, 1], 0.2)
-    subpops = [[incumbent, partner]]
+    subpops = population([[incumbent, partner]])
     batches = []
     _generation(subpops, 1, flat_omega, _CROSSOVER_ONLY, _stub_evaluate_many(table, batches))
     assert sorted(batches[0]) == [(0, 0, 0, 1), (1, 0, 0, 1)]
@@ -131,7 +132,7 @@ def test_chain_crossover_improving_child_replaces(flat_omega):
     table = {(0, 0, 0, 1): 0.2, (1, 0, 0, 1): 0.9}
     incumbent = _chrom([0, 0, 0, 1], 0.2)
     partner = _chrom([1, 0, 0, 1], 0.9)
-    subpops = [[incumbent, partner]]
+    subpops = population([[incumbent, partner]])
     _generation(subpops, 1, flat_omega, _CROSSOVER_ONLY, _stub_evaluate_many(table))
     out = subpops[0][0]
     assert out is not incumbent and out is not partner  # the scored child
@@ -148,7 +149,7 @@ def test_chain_crossover_last_position_partners_with_first(flat_omega):
     table = {(1, 1, 1, 1): 0.9, (0, 0, 1, 0): 0.0, (0, 1, 1, 1): 0.2}
     first = _chrom([1, 0, 1, 0], 0.1)
     last = _chrom([0, 1, 1, 1], 0.2)
-    subpops = [[first, last]]
+    subpops = population([[first, last]])
     batches = []
     _generation(subpops, 1, flat_omega, _CROSSOVER_ONLY, _stub_evaluate_many(table, batches))
     assert batches[0] == [(1, 1, 1, 1), (0, 0, 1, 0)]
@@ -162,7 +163,7 @@ def test_chain_crossover_never_decreases_fitness(small_dataset):
     table = defaultdict(lambda: float(rng.integers(0, 4)) / 4)  # tie-heavy, drawn on first use
     cfg = EvolutionConfig(population_size=6, subpopulations=1, elites=0, seed=5, mutation_prob=0.0)
     evaluate_many = _stub_evaluate_many(table)
-    subpops = [evaluate_many(chain) for chain in init_population(small_dataset.d, cfg, _stream(5, 0))]
+    subpops = population([evaluate_many(chain) for chain in init_population(small_dataset.d, cfg, _stream(5, 0))])
     for gen in range(1, 6):
         before = [record.fitness for record in subpops[0]]
         _generation(subpops, gen, omega, cfg, evaluate_many)
@@ -235,16 +236,16 @@ def test_mutation_repairs_emptied_mask():
 
 
 def test_migrate_zero_elites_noop():
-    pop = [[_chrom([1, 0], 0.5)], [_chrom([0, 1], 0.4)]]
-    before = [[ch for ch in sp] for sp in pop]
+    pop = population([[_chrom([1, 0], 0.5)], [_chrom([0, 1], 0.4)]])
+    before = pop.tolist()
     migrate_elites(pop, 0)
-    assert pop == before
+    assert pop.tolist() == before
 
 
 def test_migrate_hand_case_two_subpops():
     a, b = _chrom([1, 0, 0, 0], 0.9), _chrom([0, 1, 0, 0], 0.1)
     c, d = _chrom([0, 0, 1, 0], 0.8), _chrom([0, 0, 0, 1], 0.2)
-    pop = [[a, b], [c, d]]
+    pop = population([[a, b], [c, d]])
     migrate_elites(pop, 1)
     # P1's worst (b) replaced by P2's elite c; P2's worst (d) by P1's elite a:
     # each receiver's slot holds the sender's record itself
@@ -260,7 +261,7 @@ def test_migrate_senders_keep_their_elites():
     for _ in range(3):
         subpops.append([_chrom(rng.random(6) < 0.5, float(rng.random())) for _ in range(5)])
     top_before = [sorted(sp, key=lambda ch: -ch.fitness)[:2][0].genes for sp in subpops]
-    pop = [list(sp) for sp in subpops]
+    pop = population(subpops)
     migrate_elites(pop, 2)
     for i, genes in enumerate(top_before):
         assert any(np.array_equal(ch.genes, genes) for ch in pop[i])
@@ -278,7 +279,7 @@ def test_migrate_receivers_contain_top_elites():
             [ch.genes for ch in sorted(sp, key=lambda ch: -ch.fitness)[:s]]
             for sp in subpops
         ]
-        pop = [list(sp) for sp in subpops]
+        pop = population(subpops)
         migrate_elites(pop, s)
         for i in range(m):
             receiver = pop[(i + 1) % m]
@@ -288,7 +289,7 @@ def test_migrate_receivers_contain_top_elites():
 
 def test_migrate_reads_the_pre_migration_snapshot():
     a, b, c = _chrom([1, 0], 0.9), _chrom([0, 1], 0.5), _chrom([1, 1], 0.1)
-    pop = [[a], [b], [c]]
+    pop = population([[a], [b], [c]])
     migrate_elites(pop, 1)
     # each subpop receives its predecessor's elite as it was before any move,
     # so the strongest chromosome advances one step instead of cascading

@@ -1,5 +1,7 @@
-"""Property tests: the batched generation against its serial predecessor, and
-the array-built crossover phase against its loop predecessor."""
+"""Property tests: the batched generation against its serial predecessor, the
+array-built crossover phase against its loop predecessor, and the array
+migration against its list predecessor. The predecessors hold the
+population as lists of lists; ``population`` gives the GA's record array."""
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from chainga.evolution import (
     migrate_elites,
 )
 from chainga.infotheory import GainRatioMatrix
-from oracles import loop_crossover, serial_generation
+from oracles import list_migrate_elites, loop_crossover, population, serial_generation
 
 
 def _tie_heavy_fitness(levels):
@@ -75,9 +77,9 @@ def test_generation_matches_serial_predecessor(d, m, size, elites, flags, mutati
     omega = _random_omega(np.random.default_rng(seed), d)
     evaluate = _tie_heavy_fitness(levels)
 
-    batched = [[evaluate(genes) for genes in chain] for chain in init_population(d, cfg, _stream(seed, 0))]
-    serial = _copy(batched)
-    best = _first_best([record for sp in batched for record in sp])
+    chains = [[evaluate(genes) for genes in chain] for chain in init_population(d, cfg, _stream(seed, 0))]
+    batched, serial = population(chains), _copy(chains)
+    best = _first_best(batched.flat)
     serial_best = best
     for gen in range(1, cfg.generations + 1):
         new = _generation(batched, gen, omega, cfg, lambda masks: [evaluate(g) for g in masks])
@@ -90,40 +92,69 @@ def test_generation_matches_serial_predecessor(d, m, size, elites, flags, mutati
                 serial_best = record
         assert _state([best]) == _state([serial_best])
         migrate_elites(batched, cfg.elites)
-        migrate_elites(serial, cfg.elites)
+        list_migrate_elites(serial, cfg.elites)
         assert [_state(sp) for sp in batched] == [_state(sp) for sp in serial]
 
 
 @st.composite
 def _chains(draw):
-    """1-3 chains of 1-4 masks over d genes. About half the masks carry one
-    set gene, so some children come out empty and get repaired."""
+    """1-3 chains of one length, 1-4 masks, over d genes. About half the
+    masks carry one set gene, so some children come out empty and get
+    repaired."""
     d = draw(st.integers(2, 8))
     sparse = st.integers(0, d - 1).map(lambda g: np.arange(d) == g)
     dense = st.lists(st.booleans(), min_size=d, max_size=d).filter(any).map(np.array)
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    return d, [[draw(st.one_of(sparse, dense)) for _ in range(size)] for size in sizes]
+    m, size = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return d, [[draw(st.one_of(sparse, dense)) for _ in range(size)] for _ in range(m)]
 
 
 @given(chains=_chains(), guided=st.booleans(), levels=st.integers(1, 3), seed=st.integers(0, 2**16))
 @example(chains=(5, [[np.arange(5) == g for g in (4, 0, 3, 1)]]), guided=False, levels=2, seed=0)
 @example(chains=(5, [[np.arange(5) == g for g in (4, 0, 3, 1)]]), guided=True, levels=2, seed=0)
+@example(chains=(3, [[np.arange(3) == 2], [np.array([True, False, True])]]), guided=False, levels=2, seed=0)
 def test_crossover_matches_loop_predecessor(chains, guided, levels, seed):
     """Children, slot winners and each stream's next draw, over both
-    phases of a generation (the inner steps, then the ring closures)."""
+    phases of a generation (the inner steps, then the ring closures); a
+    chain of one has neither."""
     d, genes = chains
     cfg = EvolutionConfig(diversity_crossover=guided)
     omega = _random_omega(np.random.default_rng(seed), d)
     evaluate = _tie_heavy_fitness(levels)
     evaluate_many = lambda masks: [evaluate(g) for g in masks]  # noqa: E731
-    built = [[evaluate(g) for g in chain] for chain in genes]
-    looped = _copy(built)
-    built_rngs, looped_rngs = ([_stream(seed, 1, 1, i) for i in range(len(genes))] for _ in range(2))
-    inner = [(i, j) for i, sp in enumerate(built) for j in range(len(sp) - 1)]
-    closing = [(i, len(sp) - 1) for i, sp in enumerate(built) if len(sp) > 1]
-    for steps in (inner, closing):
-        new = _crossover(built, steps, omega, cfg, built_rngs, evaluate_many)
-        old = loop_crossover(looped, steps, omega, cfg, looped_rngs, evaluate_many)
-        assert [_state(pair) for pair in new] == [_state(pair) for pair in old]
+    looped = [[evaluate(g) for g in chain] for chain in genes]
+    built = population(looped)
+    m, size = built.shape
+    built_rngs, looped_rngs = ([_stream(seed, 1, 1, i) for i in range(m)] for _ in range(2))
+    closing = [size - 1] if size > 1 else []  # a chain of one has no partner
+    for slots in (np.arange(size - 1), np.array(closing, dtype=int)):
+        new = _crossover(built, slots, omega, cfg, built_rngs, evaluate_many)
+        old = loop_crossover(looped, [(i, j) for i in range(m) for j in slots.tolist()], omega, cfg,
+                             looped_rngs, evaluate_many)
+        assert new.shape == (m, len(slots), 2)
+        assert [_state(pair) for pair in new.reshape(-1, 2)] == [_state(pair) for pair in old]
         assert [_state(sp) for sp in built] == [_state(sp) for sp in looped]
     assert [rng.integers(2**62) for rng in built_rngs] == [rng.integers(2**62) for rng in looped_rngs]
+
+
+@st.composite
+def _migration_cases(draw):
+    """(chains of records, s): 1-4 chains of one length, 1-6, with fitness
+    on 1-3 levels, so most comparisons are ties, and s from 0 to the
+    length. Every record has its own genes, so each one is told apart."""
+    m, size, levels = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    values = draw(st.lists(st.integers(0, levels - 1), min_size=m * size, max_size=m * size))
+    records = [FitnessRecord(np.arange(m * size) == t, v / max(levels - 1, 1), 1) for t, v in enumerate(values)]
+    return [records[i * size:(i + 1) * size] for i in range(m)], draw(st.integers(0, size))
+
+
+@given(_migration_cases())
+@example(([[FitnessRecord(np.arange(6) == t, 0.5, 1) for t in range(3 * i, 3 * i + 3)] for i in range(2)], 2))
+def test_migration_matches_list_predecessor(case):
+    """Slot by slot the same record objects as the list migration, which
+    sorts (-fitness, slot) for the elites and (fitness, slot) for the
+    slots they take: ties go to the lower slot on both sides."""
+    chains, s = case
+    pop, lists = population(chains), _copy(chains)
+    migrate_elites(pop, s)
+    list_migrate_elites(lists, s)
+    assert all(a is b for a, b in zip(pop.flat, (record for chain in lists for record in chain), strict=True))
