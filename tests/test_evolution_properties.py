@@ -140,7 +140,7 @@ def test_crossover_matches_loop_predecessor(chains, guided, levels, seed):
 def _migration_cases(draw):
     """(chains of records, s): 1-4 chains of one length, 1-6, with fitness
     on 1-3 levels, so most comparisons are ties, and s from 0 to the
-    length. Every record has its own genes, so each one is told apart."""
+    length. Every record is its own object, so ``is`` tells which one moved."""
     m, size, levels = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
     values = draw(st.lists(st.integers(0, levels - 1), min_size=m * size, max_size=m * size))
     records = [FitnessRecord(np.arange(m * size) == t, v / max(levels - 1, 1), 1) for t, v in enumerate(values)]
